@@ -1,6 +1,6 @@
 //! The engine load benchmark: drive multi-flow load scenarios through the
-//! `minion-engine` runtime (sharded across the `minion-exec` executor) and
-//! emit `BENCH_engine.json`, the artifact the CI bench trajectory tracks
+//! `minion-engine` runtime (sharded across `minion_engine::par_map` workers)
+//! and emit `BENCH_engine.json`, the artifact the CI bench trajectory tracks
 //! per PR.
 //!
 //! Each scenario runs through [`minion_engine::verify_load_sharded`], so

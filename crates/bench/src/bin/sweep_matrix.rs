@@ -1,9 +1,9 @@
 //! The parallel matrix-sweep benchmark: run the full scenario matrix (the
 //! tier-1 protocol×stack×loss matrix plus the `flows ∈ {1, 64, 1024}` load
-//! matrix) once per requested thread count on the `minion-exec`
-//! work-stealing executor, assert every sweep's reports are byte-identical,
-//! and emit `BENCH_sweep.json` with cells/sec per thread count and speedup
-//! versus 1 thread.
+//! matrix) once per requested thread count with `minion_engine::par_map`,
+//! assert every sweep's reports are byte-identical, and emit
+//! `BENCH_sweep.json` with cells/sec per thread count and speedup versus 1
+//! thread.
 //!
 //! CI runs this as the report-diff gate: `--report-prefix` writes one
 //! canonical report file per thread count (full `Debug` dump of every cell
@@ -16,10 +16,8 @@
 //! ```
 
 use minion_bench::cli;
-use minion_exec::ExecStats;
-use minion_testkit::{
-    run_matrix_once_with_stats, summarize, CcAlgorithm, CellReport, CellSpec, MatrixSpec,
-};
+use minion_engine::par_map;
+use minion_testkit::{run_cell, summarize, CcAlgorithm, CellReport, CellSpec, MatrixSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -53,13 +51,21 @@ fn canonical_report(cells: &[CellSpec], reports: &[CellReport]) -> String {
 struct Run {
     threads: usize,
     wall_seconds: f64,
-    stats: ExecStats,
+    /// Sum of the per-cell wall times: worker time spent running cells.
+    busy_ns: u64,
+}
+
+impl Run {
+    /// Worker time not spent running cells: `threads × wall − busy`.
+    fn idle_ns(&self) -> u64 {
+        ((self.threads as f64 * self.wall_seconds * 1e9) as u64).saturating_sub(self.busy_ns)
+    }
 }
 
 /// The `"obs"` section of `BENCH_sweep.json`: the deterministic
 /// delivery-delay columns of every multi-flow cell (identical across
-/// thread counts — the report diff proves it) plus the per-run executor
-/// scheduling profile (wall-clock; varies run to run by design).
+/// thread counts — the report diff proves it) plus each run's worker
+/// busy/idle split (wall-clock; varies run to run by design).
 fn obs_section_json(reports: &[CellReport], runs: &[Run]) -> String {
     let delivery = reports
         .iter()
@@ -85,25 +91,11 @@ fn obs_section_json(reports: &[CellReport], runs: &[Run]) -> String {
     let exec = runs
         .iter()
         .map(|run| {
-            let phases = run
-                .stats
-                .profile
-                .get()
-                .iter()
-                .map(|(name, nanos, _)| format!("\"{name}\": {nanos}"))
-                .collect::<Vec<_>>()
-                .join(", ");
             format!(
-                concat!(
-                    "      {{\"threads\": {threads}, \"steals\": {steals}, ",
-                    "\"steal_attempts\": {attempts}, \"locks_contended\": {contended}, ",
-                    "\"phase_nanos\": {{ {phases} }}}}"
-                ),
-                threads = run.threads,
-                steals = run.stats.steals,
-                attempts = run.stats.steal_attempts,
-                contended = run.stats.locks_contended,
-                phases = phases,
+                "      {{\"threads\": {}, \"busy_ns\": {}, \"idle_ns\": {}}}",
+                run.threads,
+                run.busy_ns,
+                run.idle_ns()
             )
         })
         .collect::<Vec<_>>()
@@ -159,12 +151,13 @@ fn parse_args() -> (Vec<usize>, Vec<CcAlgorithm>, Option<String>, String) {
 fn main() {
     let (thread_counts, ccs, report_prefix, out) = parse_args();
     let cells = full_matrix(&ccs);
+    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "sweeping {} cells at threads {:?}, cc {:?} (host parallelism: {})",
         cells.len(),
         thread_counts,
         ccs.iter().map(|c| c.label()).collect::<Vec<_>>(),
-        minion_exec::available_threads()
+        avail
     );
 
     let mut runs: Vec<Run> = Vec::new();
@@ -172,8 +165,14 @@ fn main() {
     let mut first_reports: Option<Vec<CellReport>> = None;
     for &threads in &thread_counts {
         let t0 = Instant::now();
-        let (reports, stats) = run_matrix_once_with_stats(&cells, threads);
+        let timed = par_map(threads, &cells, |cell| {
+            let start = Instant::now();
+            let report = run_cell(cell);
+            (report, start.elapsed().as_nanos() as u64)
+        });
         let wall_seconds = t0.elapsed().as_secs_f64();
+        let busy_ns = timed.iter().map(|(_, ns)| ns).sum();
+        let reports: Vec<CellReport> = timed.into_iter().map(|(report, _)| report).collect();
         let text = canonical_report(&cells, &reports);
         // Write the report file *before* asserting equality: on divergence
         // CI's `diff -u` step then shows the exact divergent bytes instead
@@ -211,7 +210,7 @@ fn main() {
         runs.push(Run {
             threads,
             wall_seconds,
-            stats,
+            busy_ns,
         });
     }
 
@@ -261,7 +260,7 @@ fn main() {
             .map(|c| format!("\"{}\"", c.label()))
             .collect::<Vec<_>>()
             .join(", "),
-        avail = minion_exec::available_threads(),
+        avail = avail,
         obs = obs,
         rows = rows,
     );

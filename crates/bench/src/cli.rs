@@ -68,8 +68,8 @@ pub fn parse_backend(raw: &str) -> Backend {
 
 /// Reject flag combinations the chosen backend cannot honour. Today that
 /// is exactly one: `--threads` with the OS backend (the shard decomposition
-/// and work-stealing executor drive *simulated* engines; sharding is
-/// sim-only for now).
+/// and its worker threads drive *simulated* engines; sharding is sim-only
+/// for now).
 pub fn validate_backend(backend: Backend, threads_requested: bool) {
     assert!(
         !(backend == Backend::Os && threads_requested),
@@ -110,10 +110,14 @@ pub fn parse_count(raw: &str, flag: &str) -> usize {
     n
 }
 
-/// Parse a non-empty comma-separated list of positive integers.
+/// Parse a non-empty comma-separated list of positive integers, rejecting
+/// duplicates (a doubled entry would repeat a sweep or a BENCH row).
 pub fn parse_count_list(raw: &str, flag: &str) -> Vec<usize> {
     let list: Vec<usize> = raw.split(',').map(|s| parse_count(s, flag)).collect();
     assert!(!list.is_empty(), "{flag} needs at least one entry");
+    for (i, n) in list.iter().enumerate() {
+        assert!(!list[..i].contains(n), "{flag}: duplicate entry {n}");
+    }
     list
 }
 
@@ -184,6 +188,12 @@ mod tests {
     #[should_panic(expected = "--flows takes positive integers")]
     fn junk_entries_are_rejected() {
         parse_count_list("1,banana", "--flows");
+    }
+
+    #[test]
+    #[should_panic(expected = "--threads: duplicate entry 4")]
+    fn duplicate_count_entries_are_rejected() {
+        parse_count_list("4, 1,4", "--threads");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 pub mod clock;
 pub mod metrics;
 pub mod obs;
+pub mod par;
 pub mod pool;
 pub mod runtime;
 pub mod scenario;
@@ -39,6 +40,7 @@ pub mod wheel;
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use metrics::{fnv1a, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 pub use obs::{LoadObs, TraceFilter, LOAD_COUNTER_NAMES, LOAD_GAUGE_NAMES};
+pub use par::par_map;
 pub use pool::{BufferPool, PoolStats};
 pub use runtime::{Engine, EngineHostId, FlowId, ENGINE_PHASES};
 pub use scenario::{verify_load, verify_load_sharded, LoadScenario, LOAD_PORT, SHARD_FLOWS};

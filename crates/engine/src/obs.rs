@@ -22,8 +22,7 @@
 
 use crate::metrics::{fnv1a, FNV_OFFSET_BASIS};
 use minion_obs::{
-    Absorb, CcObs, CounterSet, FlowDelayMap, GaugeSet, Histogram, KindSet, StreamStats, TraceEvent,
-    TraceRing,
+    Absorb, CcObs, CounterSet, FlowDelayMap, GaugeSet, Histogram, KindSet, StreamStats, TraceRing,
 };
 
 /// Counter slots of [`LoadObs::counters`] (fixed at compile time so sharded
@@ -144,14 +143,6 @@ pub struct TraceFilter {
 }
 
 impl TraceFilter {
-    /// A filter focused on one global flow index (`None` admits all).
-    pub fn focused(flow: Option<u32>) -> Self {
-        TraceFilter {
-            flow,
-            ..TraceFilter::default()
-        }
-    }
-
     /// A filter over both predicate axes.
     pub fn sliced(flow: Option<u32>, kinds: KindSet) -> Self {
         TraceFilter {
@@ -159,17 +150,6 @@ impl TraceFilter {
             kinds,
             ..TraceFilter::default()
         }
-    }
-
-    /// Decide (and count) whether `ev` enters the trace ring.
-    pub fn admit(&mut self, ev: &TraceEvent) -> bool {
-        let ok = self.flow.is_none_or(|f| f == ev.flow) && self.kinds.contains(ev.kind);
-        if ok {
-            self.admitted += 1;
-        } else {
-            self.suppressed += 1;
-        }
-        ok
     }
 }
 
@@ -198,14 +178,6 @@ impl Absorb for TraceFilter {
 }
 
 impl LoadObs {
-    /// Offer a lifecycle event to the trace ring through the per-flow
-    /// filter: suppressed events are counted, admitted ones recorded.
-    pub fn trace_event(&mut self, ev: TraceEvent) {
-        if self.trace_filter.admit(&ev) {
-            self.trace.push(ev);
-        }
-    }
-
     /// Order-sensitive FNV-1a fingerprint of the trace ring's event stream
     /// (the compact form the determinism gates compare).
     pub fn trace_fingerprint(&self) -> u64 {
@@ -232,15 +204,13 @@ mod tests {
         o.pool_dwell.record(0);
         o.counters.inc(C_RECORDS_DELIVERED);
         o.gauges.observe(G_COVERAGE_RANGES_HIGH_WATER, base);
-        let ev = TraceEvent {
+        o.trace.push(TraceEvent {
             t_ns: base,
             flow: base as u32,
             seq: 0,
             kind: TraceKind::Syn,
-        };
-        if o.trace_filter.admit(&ev) {
-            o.trace.push(ev);
-        }
+        });
+        o.trace_filter.admitted += 1;
         o.cc_obs.record_window(base, 14_400, 7_200);
         o.cc_obs.record_recovery(base + 500, 7_200);
         o
@@ -266,63 +236,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_filter_admits_only_the_focused_flow_and_counts() {
-        let mut f = TraceFilter::focused(Some(7));
-        let mk = |flow: u32| TraceEvent {
-            t_ns: 1,
-            flow,
-            seq: 0,
-            kind: TraceKind::Syn,
-        };
-        assert!(f.admit(&mk(7)));
-        assert!(!f.admit(&mk(8)));
-        assert!(!f.admit(&mk(0)));
-        assert_eq!((f.admitted, f.suppressed), (1, 2));
-        let mut open = TraceFilter::focused(None);
-        assert!(open.admit(&mk(8)));
-        assert_eq!((open.admitted, open.suppressed), (1, 0));
-    }
-
-    #[test]
-    fn trace_filter_slices_by_kind_and_flow_together() {
-        use minion_obs::KindSet;
-        let mut f = TraceFilter::sliced(
-            Some(7),
-            KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]),
-        );
-        let mk = |flow: u32, kind: TraceKind| TraceEvent {
-            t_ns: 1,
-            flow,
-            seq: 0,
-            kind,
-        };
-        assert!(f.admit(&mk(7, TraceKind::Retransmit)));
-        assert!(!f.admit(&mk(7, TraceKind::Syn)), "kind outside the slice");
-        assert!(!f.admit(&mk(8, TraceKind::Retransmit)), "flow out of focus");
-        assert_eq!((f.admitted, f.suppressed), (1, 2));
-    }
-
-    #[test]
     #[should_panic(expected = "different kind slices")]
     fn trace_filter_absorb_rejects_mismatched_kind_slices() {
         use minion_obs::KindSet;
         let mut a = TraceFilter::sliced(None, KindSet::of(&[TraceKind::Retransmit]));
         let mut b = TraceFilter::sliced(None, KindSet::of(&[TraceKind::Syn]));
-        let ev = TraceEvent {
-            t_ns: 1,
-            flow: 1,
-            seq: 0,
-            kind: TraceKind::Retransmit,
-        };
-        a.admit(&ev);
-        b.admit(&ev);
+        a.admitted = 1;
+        b.suppressed = 1;
         a.absorb(&b);
     }
 
     #[test]
     fn trace_filter_absorb_is_associative_and_order_stable() {
         let mk = |adm: u64, sup: u64| {
-            let mut f = TraceFilter::focused(Some(3));
+            let mut f = TraceFilter::sliced(Some(3), KindSet::all());
             f.admitted = adm;
             f.suppressed = sup;
             f
@@ -355,16 +282,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "different focus")]
     fn trace_filter_absorb_rejects_mismatched_focus() {
-        let mut a = TraceFilter::focused(Some(1));
-        let mut b = TraceFilter::focused(Some(2));
-        let ev = TraceEvent {
-            t_ns: 1,
-            flow: 1,
-            seq: 0,
-            kind: TraceKind::Syn,
-        };
-        a.admit(&ev);
-        b.admit(&ev);
+        let mut a = TraceFilter::sliced(Some(1), KindSet::all());
+        let mut b = TraceFilter::sliced(Some(2), KindSet::all());
+        a.admitted = 1;
+        b.suppressed = 1;
         a.absorb(&b);
     }
 

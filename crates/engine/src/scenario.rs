@@ -19,23 +19,22 @@
 //!
 //! [`LoadScenario::run_sharded`] decomposes the `flows` axis into fixed
 //! [`SHARD_FLOWS`]-flow shards — each an independent [`Engine`] with its own
-//! link and a seed derived from `(seed, shard index)` — and executes them on
-//! the `minion-exec` work-stealing executor, merging the per-shard
-//! [`LoadReport`]s **by shard index**. The decomposition is a property of
-//! the scenario (flow count), never of the thread count, so the merged
-//! report is byte-identical at any `threads` value; threads only decide how
-//! many shards run concurrently.
+//! link and a seed derived from `(seed, shard index)` — and executes them
+//! with [`par_map`], merging the per-shard [`LoadReport`]s **by shard
+//! index**. The decomposition is a property of the scenario (flow count),
+//! never of the thread count, so the merged report is byte-identical at any
+//! `threads` value; threads only decide how many shards run concurrently.
 
 use crate::metrics::{fnv1a, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
 };
+use crate::par::par_map;
 use crate::pool::{BufferPool, PoolStats};
 use crate::runtime::FlowId;
 use crate::transport::{SimTransport, Transport};
 use bytes::Bytes;
-use minion_exec::Executor;
 use minion_obs::{
     merge_stream_files, shard_trailer_json, Absorb, FilteredSink, KindSet, NonDeterministic,
     PhaseProfile, StreamSink, Tee, TraceEvent, TraceKind, TracePredicate, TraceRing, TraceSink,
@@ -648,20 +647,20 @@ impl LoadScenario {
         }
     }
 
-    /// Run the scenario sharded across `threads` executor workers and merge
-    /// the per-shard reports **by shard index**.
+    /// Run the scenario sharded across `threads` [`par_map`] workers and
+    /// merge the per-shard reports **by shard index**.
     ///
     /// Byte-identical at any `threads` value: the shard decomposition and
     /// every shard's seed are fixed by the scenario, each shard runs in its
-    /// own deterministic [`Engine`], and the executor's ordered collection
-    /// commits shard reports in shard order. Note the sharded model gives
-    /// each shard its own bottleneck link — cross-shard congestion coupling
-    /// is deliberately out of scope (each shard is the unit of fidelity),
-    /// so a sharded report is not comparable to an unsharded
-    /// [`LoadScenario::run`] of the same flow count.
+    /// own deterministic [`Engine`], and [`par_map`] returns shard reports
+    /// in shard order. Note the sharded model gives each shard its own
+    /// bottleneck link — cross-shard congestion coupling is deliberately out
+    /// of scope (each shard is the unit of fidelity), so a sharded report is
+    /// not comparable to an unsharded [`LoadScenario::run`] of the same flow
+    /// count.
     pub fn run_sharded(&self, threads: usize) -> LoadReport {
         let shards: Vec<LoadScenario> = (0..self.shard_count()).map(|s| self.shard(s)).collect();
-        let reports = Executor::new(threads).run(shards, |_, shard| shard.run());
+        let reports = par_map(threads, &shards, LoadScenario::run);
         let merged = self.merge_shard_reports(&reports);
         // Merge per-shard spill files (named by shard index, so identical
         // whatever worker ran which shard) into one `(t_ns, shard)`-ordered

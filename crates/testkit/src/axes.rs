@@ -189,7 +189,7 @@ impl CellSpec {
     ///
     /// Crucially *not* a function of expansion or execution order: a cell
     /// keeps the same seed whether the matrix is expanded serially, sharded
-    /// across executor workers, reordered, or grown by new axis values —
+    /// across `par_map` workers, reordered, or grown by new axis values —
     /// which is what makes parallel sweeps report-identical to serial ones
     /// and keeps existing cells' results stable as the matrix grows.
     pub fn coordinate_seed(&self, base_seed: u64) -> u64 {

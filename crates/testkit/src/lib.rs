@@ -41,11 +41,10 @@
 //! work: `tests/scenario_matrix.rs` in the workspace root pins a ≥24-cell
 //! matrix.
 //!
-//! Sweeps parallelise on the `minion-exec` work-stealing executor: cells are
-//! independent jobs ([`run_matrix_threads`]), cell seeds are a stable hash
-//! of axis coordinates ([`CellSpec::coordinate_seed`]), and reports commit
-//! in cell order — so a sweep's output is byte-identical at any thread
-//! count (the `threads` knob: `MINION_THREADS`, [`default_threads`]).
+//! Sweeps parallelise with `minion_engine::par_map`: cells are independent
+//! jobs ([`run_matrix_threads`]), cell seeds are a stable hash of axis
+//! coordinates ([`CellSpec::coordinate_seed`]), and reports come back in
+//! cell order — so a sweep's output is byte-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,8 +58,7 @@ pub use axes::{CellSpec, LossAxis, MatrixSpec, MiddleboxAxis, PayloadProtocol, S
 pub use load::{load_scenario_of, run_load_cell};
 pub use minion_tcp::CcAlgorithm;
 pub use runner::{
-    default_threads, run_cell, run_matrix, run_matrix_once, run_matrix_once_with_stats,
-    run_matrix_threads, summarize, verify_cell, CellReport,
+    run_cell, run_matrix, run_matrix_once, run_matrix_threads, summarize, verify_cell, CellReport,
 };
 pub use world::{build_world, CellWorld};
 // The canonical loss-model types: `LossAxis` is a selector over these, not a

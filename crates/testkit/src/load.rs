@@ -64,7 +64,7 @@ pub fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
 /// engine): the same decomposition whether the surrounding matrix executes
 /// serially or across workers, so cell reports never depend on the sweep's
 /// thread count. Shards run inline (one worker) here — the matrix already
-/// parallelises across cells, and nesting executors would oversubscribe.
+/// parallelises across cells, and nesting `par_map`s would oversubscribe.
 ///
 /// The per-flow invariants (exactly-once, per-stream order, in-order-only on
 /// a standard receiver) are asserted inside [`LoadScenario::run`]; a

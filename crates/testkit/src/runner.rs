@@ -4,6 +4,7 @@
 use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
 use crate::world::build_world;
 use minion_core::{MinionConfig, UcobsSocket, UtlsSocket};
+use minion_engine::par_map;
 use minion_mstcp::{MsTcpConnection, StreamId};
 use minion_simnet::SimDuration;
 use minion_stack::SocketAddr;
@@ -470,52 +471,28 @@ pub fn verify_cell(spec: &CellSpec) -> CellReport {
     first
 }
 
-/// The sweep's default worker count: the `MINION_THREADS` environment
-/// variable if set to a positive integer, else 1 (serial). This is the
-/// `threads` knob for test invocations (e.g. `MINION_THREADS=4 cargo test
-/// --test scenario_matrix`); surfaces that sweep thread counts — the
-/// `sweep_matrix --threads` bench CI diffs, `tests/parallel_sweep.rs` —
-/// pass explicit values instead.
-pub fn default_threads() -> usize {
-    std::env::var("MINION_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Verify every cell of a matrix; returns one report per cell, in cell
-/// order. Runs on [`default_threads`] workers — every cell owns its seeded
-/// world, and reports are committed in cell order by the executor's ordered
-/// collection, so the output is byte-identical at any thread count.
+/// order. Runs on the machine's available parallelism — every cell owns its
+/// seeded world and [`par_map`] returns reports in cell order, so the output
+/// is byte-identical at any thread count.
 pub fn run_matrix(cells: &[CellSpec]) -> Vec<CellReport> {
-    run_matrix_threads(cells, default_threads())
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_matrix_threads(cells, threads)
 }
 
-/// [`run_matrix`] on an explicit worker count: cells are the jobs of a
-/// `minion-exec` work-stealing batch (each still verified by two runs).
+/// [`run_matrix`] on an explicit worker count (each cell still verified by
+/// two runs).
 pub fn run_matrix_threads(cells: &[CellSpec], threads: usize) -> Vec<CellReport> {
-    minion_exec::Executor::new(threads).run(cells.to_vec(), |_, cell| verify_cell(&cell))
+    par_map(threads, cells, verify_cell)
 }
 
 /// Run every cell **once** (no per-cell two-run verification) on `threads`
-/// workers, in cell order. The cheap sweep the bench harness and the
-/// cross-thread-count determinism gates use: comparing whole sweeps across
-/// thread counts already is a determinism check, so the per-cell double run
-/// would only double the wall time.
+/// workers, in cell order. The cheap sweep the cross-thread-count
+/// determinism gates use: comparing whole sweeps across thread counts
+/// already is a determinism check, so the per-cell double run would only
+/// double the wall time.
 pub fn run_matrix_once(cells: &[CellSpec], threads: usize) -> Vec<CellReport> {
-    run_matrix_once_with_stats(cells, threads).0
-}
-
-/// [`run_matrix_once`], also returning the executor's batch stats (steals,
-/// lock contention, per-worker run/steal/park profile) — the sweep bench's
-/// scheduling observability. The stats are wall-clock and never part of
-/// the byte-identity gates; the reports are unchanged.
-pub fn run_matrix_once_with_stats(
-    cells: &[CellSpec],
-    threads: usize,
-) -> (Vec<CellReport>, minion_exec::ExecStats) {
-    minion_exec::Executor::new(threads).run_with_stats(cells.to_vec(), |_, cell| run_cell(&cell))
+    par_map(threads, cells, run_cell)
 }
 
 /// A text table of per-cell results (label, delivered/sent, out-of-order,

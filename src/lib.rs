@@ -6,7 +6,6 @@ pub use minion_cobs as cobs;
 pub use minion_core as core;
 pub use minion_crypto as crypto;
 pub use minion_engine as engine;
-pub use minion_exec as exec;
 pub use minion_mstcp as mstcp;
 pub use minion_obs as obs;
 pub use minion_simnet as simnet;

@@ -1,7 +1,7 @@
-//! The parallel-sweep determinism gates (see `minion_exec`): the full
-//! scenario matrix and the 1024-flow load scenario must produce
-//! byte-identical reports at `threads ∈ {1, 2, 8}` — work-stealing
-//! parallelism may change wall-clock and scheduling, never a result.
+//! The parallel-sweep determinism gates (see `minion_engine::par_map`): the
+//! full scenario matrix and the 1024-flow load scenario must produce
+//! byte-identical reports at `threads ∈ {1, 2, 8}` — parallelism may change
+//! wall-clock and scheduling, never a result.
 
 use minion_repro::engine::LoadScenario;
 use minion_repro::testkit::{run_matrix_once, summarize, CcAlgorithm, MatrixSpec};
@@ -98,7 +98,7 @@ fn cc_slices_are_byte_identical_across_thread_counts_and_distinct() {
 }
 
 /// The 1024-flow acceptance scenario, sharded (8 × 128-flow engines, merged
-/// by shard index), at 1, 2, and 8 executor workers: one merged
+/// by shard index), at 1, 2, and 8 `par_map` workers: one merged
 /// `LoadReport`, byte-identical every time, with every flow delivered
 /// exactly once.
 #[test]
