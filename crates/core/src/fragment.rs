@@ -121,15 +121,17 @@ impl FragmentStore {
 
     /// The fragment containing `offset`, if any.
     pub fn fragment_at(&self, offset: u64) -> Option<Fragment> {
+        self.run_at(offset).map(|(start, data)| Fragment {
+            offset: start,
+            data: data.to_vec(),
+        })
+    }
+
+    /// The start offset and bytes of the run containing `offset`, if any,
+    /// borrowed rather than copied.
+    pub fn run_at(&self, offset: u64) -> Option<(u64, &[u8])> {
         let (&start, data) = self.runs.range(..=offset).next_back()?;
-        if offset < start + data.len() as u64 {
-            Some(Fragment {
-                offset: start,
-                data: data.clone(),
-            })
-        } else {
-            None
-        }
+        (offset < start + data.len() as u64).then_some((start, data.as_slice()))
     }
 
     /// Discard stored data below `offset` (it has been fully processed).
@@ -160,15 +162,6 @@ impl FragmentStore {
                 data: data.clone(),
             })
             .collect()
-    }
-
-    /// End offset of the contiguous prefix starting at `pruned_below` /
-    /// stream start, if such a fragment exists.
-    pub fn contiguous_end_from(&self, offset: u64) -> u64 {
-        match self.fragment_at(offset) {
-            Some(f) => f.end(),
-            None => offset,
-        }
     }
 }
 
@@ -220,8 +213,8 @@ mod tests {
         assert!(s.fragment_at(15).is_none());
         assert!(s.fragment_at(25).is_some());
         assert!(s.fragment_at(30).is_none());
-        assert_eq!(s.contiguous_end_from(0), 10);
-        assert_eq!(s.contiguous_end_from(15), 15);
+        assert_eq!(s.run_at(5), Some((0, &[0u8; 10][..])));
+        assert_eq!(s.run_at(15), None);
     }
 
     #[test]

@@ -147,12 +147,12 @@ impl UtlsSocket {
     pub fn recv(&mut self, host: &mut Host) -> Vec<Datagram> {
         let mut out = Vec::new();
         // Pull whatever the TCP socket has for us.
-        let mut chunks: Vec<(u64, Vec<u8>, bool)> = Vec::new();
+        let mut chunks = Vec::new();
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {
-            chunks.push((chunk.offset, chunk.data.to_vec(), chunk.in_order));
+            chunks.push((chunk.offset, chunk.data));
         }
 
-        for (offset, data, _in_order) in chunks {
+        for (offset, data) in chunks {
             if self.session.is_established() && self.receiver.is_some() {
                 self.feed_receiver(offset, &data, &mut out);
             } else {
@@ -165,21 +165,12 @@ impl UtlsSocket {
     }
 
     fn drive_in_order(&mut self, host: &mut Host, out: &mut Vec<Datagram>) {
-        loop {
-            let end = self.raw.contiguous_end_from(self.fed_offset);
-            if end <= self.fed_offset {
-                break;
-            }
-            let fragment = self
-                .raw
-                .fragment_at(self.fed_offset)
-                .expect("contiguous data exists");
-            let skip = (self.fed_offset - fragment.offset) as usize;
-            let bytes = fragment.data[skip..].to_vec();
-            self.fed_offset = end;
+        while let Some((start, run)) = self.raw.run_at(self.fed_offset) {
+            let bytes = &run[(self.fed_offset - start) as usize..];
+            self.fed_offset = start + run.len() as u64;
             let was_established = self.session.is_established();
 
-            if self.session.push_incoming(&bytes).is_err() {
+            if self.session.push_incoming(bytes).is_err() {
                 // A malformed handshake or corrupted in-order record: stop
                 // delivering (the connection is effectively dead, as in TLS).
                 return;

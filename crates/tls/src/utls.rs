@@ -57,23 +57,29 @@ pub struct UtlsStats {
     /// Records that could not be recovered out of order at all (delivered
     /// later in order instead).
     pub prediction_failures: u64,
+    /// High-water mark of [`UtlsReceiver::buffered_bytes`], sampled at the
+    /// end of each [`UtlsReceiver::on_fragment`].
+    pub peak_buffered_bytes: u64,
 }
 
 /// The out-of-order TLS record receiver.
 pub struct UtlsReceiver {
     protection: RecordProtection,
-    /// Fragment store: contiguous runs of the ciphertext stream, keyed by
-    /// stream offset (relative to the start of application data).
+    /// Fragment store: contiguous runs of the ciphertext stream at or past
+    /// the in-order point, keyed by stream offset (relative to the start of
+    /// application data). Consumed bytes are dropped, so the head run starts
+    /// exactly at `in_order_offset`.
     fragments: BTreeMap<u64, Vec<u8>>,
-    /// Offsets of records already delivered (either path), to suppress
-    /// duplicate delivery when holes later fill.
+    /// Offsets at or past the in-order point of records already delivered,
+    /// to suppress duplicate delivery when holes later fill.
     delivered_offsets: BTreeSet<u64>,
     /// Stream offset up to which in-order processing has consumed records.
     in_order_offset: u64,
     /// Record number of the next in-order record.
     next_record_number: u64,
-    /// Confirmed (offset → record number) anchors from out-of-order
-    /// deliveries, used to improve later predictions.
+    /// Confirmed (offset → record number) anchors, used to improve later
+    /// predictions. Only the last anchor at or below the in-order point is
+    /// kept, since predictions are only made past it.
     anchors: BTreeMap<u64, u64>,
     /// Exponentially-weighted average wire length of confirmed records.
     avg_record_wire_len: f64,
@@ -117,7 +123,8 @@ impl UtlsReceiver {
         &self.stats
     }
 
-    /// Bytes currently buffered in the fragment store.
+    /// Bytes currently buffered in the fragment store: only bytes past the
+    /// in-order point (the incomplete record there, and data beyond holes).
     pub fn buffered_bytes(&self) -> usize {
         self.fragments.values().map(|v| v.len()).sum()
     }
@@ -134,33 +141,42 @@ impl UtlsReceiver {
         if data.is_empty() {
             return vec![];
         }
-        self.insert_fragment(offset, data);
+        // Bytes below the in-order point were consumed already.
+        let skip = self.in_order_offset.saturating_sub(offset);
+        if skip < data.len() as u64 {
+            self.insert_fragment(offset + skip, &data[skip as usize..]);
+        }
         let mut out = Vec::new();
         self.process_in_order(&mut out);
+        self.prune_consumed();
         if self.out_of_order_enabled {
             self.process_out_of_order(&mut out);
         }
+        let buffered = self.buffered_bytes() as u64;
+        self.stats.peak_buffered_bytes = self.stats.peak_buffered_bytes.max(buffered);
         out
     }
 
     fn insert_fragment(&mut self, offset: u64, data: &[u8]) {
-        let mut start = offset;
-        let mut buf = data.to_vec();
-        if let Some((&pstart, pdata)) = self.fragments.range(..=start).next_back() {
-            let pend = pstart + pdata.len() as u64;
-            if pend >= start {
-                let keep = (start - pstart) as usize;
-                let mut merged = pdata[..keep].to_vec();
-                merged.extend_from_slice(&buf);
-                let new_end = start + buf.len() as u64;
-                if pend > new_end {
-                    merged.extend_from_slice(&pdata[(new_end - pstart) as usize..]);
-                }
-                start = pstart;
-                buf = merged;
-                self.fragments.remove(&pstart);
+        let pred = self
+            .fragments
+            .range(..=offset)
+            .next_back()
+            .filter(|(&pstart, pdata)| pstart + pdata.len() as u64 >= offset)
+            .map(|(&pstart, _)| pstart);
+        let (start, mut buf) = match pred {
+            Some(pstart) => {
+                // Extend the predecessor in place; new bytes overwrite the
+                // ones they overlap (the last arrival wins).
+                let mut run = self.fragments.remove(&pstart).expect("key exists");
+                let keep = (offset - pstart) as usize;
+                let overlap = (run.len() - keep).min(data.len());
+                run[keep..keep + overlap].copy_from_slice(&data[..overlap]);
+                run.extend_from_slice(&data[overlap..]);
+                (pstart, run)
             }
-        }
+            None => (offset, data.to_vec()),
+        };
         let mut end = start + buf.len() as u64;
         // Not a `while let`: the range borrow must end before `remove()`.
         #[allow(clippy::while_let_loop)]
@@ -180,6 +196,25 @@ impl UtlsReceiver {
             self.fragments.remove(&sstart);
         }
         self.fragments.insert(start, buf);
+    }
+
+    /// Drop everything below the in-order point: consumed run bytes,
+    /// delivered offsets, and every anchor but the last one at or below it
+    /// (`estimate_record_number` only looks up offsets past the point).
+    fn prune_consumed(&mut self) {
+        let point = self.in_order_offset;
+        if let Some((&start, _)) = self.fragments.range(..point).next_back() {
+            let mut run = self.fragments.remove(&start).expect("key exists");
+            let consumed = (point - start) as usize;
+            if consumed < run.len() {
+                run.drain(..consumed);
+                self.fragments.insert(point, run);
+            }
+        }
+        self.delivered_offsets = self.delivered_offsets.split_off(&point);
+        if let Some((&last, _)) = self.anchors.range(..=point).next_back() {
+            self.anchors = self.anchors.split_off(&last);
+        }
     }
 
     /// Contiguous data available at `offset`, if any.
@@ -270,19 +305,18 @@ impl UtlsReceiver {
         // avoid borrowing issues, then confirm each.
         let mut candidates: Vec<(u64, RecordHeader, Vec<u8>)> = Vec::new();
         let version = self.protection.version();
-        for (&run_start, run) in self
-            .fragments
-            .range((self.in_order_offset + 1).saturating_sub(1)..)
-        {
-            // Only runs strictly beyond the in-order point are out of order;
-            // the run containing the in-order point was handled above.
-            if run_start <= self.in_order_offset {
-                continue;
-            }
+        // Only runs strictly beyond the in-order point are out of order; the
+        // head run, which starts at it, was handled in order.
+        for (&run_start, run) in self.fragments.range(self.in_order_offset + 1..) {
+            // The scan only moves forward, so walk the run's delivered
+            // offsets alongside it instead of looking each position up.
+            let run_end = run_start + run.len() as u64;
+            let mut delivered = self.delivered_offsets.range(run_start..run_end).peekable();
             let mut i = 0usize;
             while i + RECORD_HEADER_LEN <= run.len() {
                 let stream_offset = run_start + i as u64;
-                if self.delivered_offsets.contains(&stream_offset) {
+                while delivered.next_if(|&&d| d < stream_offset).is_some() {}
+                if delivered.peek() == Some(&&stream_offset) {
                     // Already delivered: skip its whole body if we can parse it.
                     if let Some(h) = RecordHeader::decode(&run[i..]) {
                         i += RECORD_HEADER_LEN + h.length.min(run.len() - i - RECORD_HEADER_LEN);
@@ -562,6 +596,46 @@ mod tests {
         let again = rx.on_fragment(0, r0);
         assert_eq!(once.len(), 1);
         assert!(again.is_empty(), "duplicate data is not redelivered");
+    }
+
+    #[test]
+    fn lossless_stream_buffers_only_past_the_in_order_point() {
+        const CHUNK: usize = 1448;
+        let (mut tx, mut rx) = sender_and_receiver(8);
+        let lens: Vec<usize> = (0..1400).map(|i| 1 + (i * 397) % 1500).collect();
+        let (stream, ranges, payloads) = build_stream(&mut tx, &lens);
+        assert!(stream.len() >= 1 << 20, "stream is {} bytes", stream.len());
+        let mut got = Vec::new();
+        for (n, chunk) in stream.chunks(CHUNK).enumerate() {
+            got.extend(rx.on_fragment((n * CHUNK) as u64, chunk));
+        }
+        assert_eq!(got.len(), payloads.len());
+        assert!(got.iter().all(|r| !r.out_of_order));
+        assert_eq!(rx.buffered_bytes(), 0);
+        let max_wire = ranges.iter().map(|(s, e)| e - s).max().unwrap();
+        let peak = rx.stats().peak_buffered_bytes;
+        assert!(
+            peak < 2 * (max_wire + CHUNK as u64),
+            "peak {peak} B for records of up to {max_wire} B"
+        );
+    }
+
+    #[test]
+    fn resent_chunk_below_the_in_order_point_is_ignored() {
+        let (mut tx, mut rx) = sender_and_receiver(4);
+        let (stream, ranges, _) = build_stream(&mut tx, &[300, 300, 300]);
+        // Records 0 and 1 are consumed; record 2 is buffered incomplete.
+        let cut = ranges[2].0 as usize + 40;
+        assert_eq!(rx.on_fragment(0, &stream[..cut]).len(), 2);
+        let buffered = rx.buffered_bytes();
+        assert_eq!(buffered, 40);
+        assert!(rx
+            .on_fragment(0, &stream[..ranges[1].1 as usize])
+            .is_empty());
+        assert_eq!(rx.buffered_bytes(), buffered);
+        let rest = rx.on_fragment(cut as u64, &stream[cut..]);
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].record_number, 2);
     }
 
     #[test]

@@ -4,7 +4,10 @@ use minion_repro::cobs;
 use minion_repro::core::FragmentStore;
 use minion_repro::crypto;
 use minion_repro::tcp::{SackBlock, SeqNum, TcpFlags, TcpOption, TcpSegment};
-use minion_repro::tls::{CipherSuite, RecordProtection, CONTENT_APPLICATION_DATA, VERSION_TLS11};
+use minion_repro::tls::{
+    CipherSuite, RecordProtection, UtlsReceiver, UtlsRecord, CONTENT_APPLICATION_DATA,
+    VERSION_TLS11,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -78,6 +81,82 @@ proptest! {
         prop_assert_eq!(frag.offset, 0);
         prop_assert_eq!(frag.data, data);
         prop_assert_eq!(store.fragment_count(), 1);
+    }
+
+    /// The uTLS receiver delivers every record exactly once, byte-exact,
+    /// whatever order, duplication and overlap the stream's chunks arrive
+    /// with; in-order arrival never yields an out-of-order record, and once
+    /// the whole stream has arrived nothing stays buffered.
+    #[test]
+    fn utls_receiver_delivers_each_record_exactly_once(
+        lens in proptest::collection::vec(1usize..1501, 1..40),
+        seed in any::<u64>(),
+    ) {
+        let enc = *b"prop-test-key-16";
+        let mac = [5u8; 32];
+        let mut tx = RecordProtection::new(CipherSuite::Aes128CbcExplicitIv, enc, mac, VERSION_TLS11);
+        let mut stream = Vec::new();
+        let mut payloads = Vec::new();
+        for (n, &len) in lens.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + n * 7) as u8).collect();
+            stream.extend_from_slice(&tx.seal(n as u64, CONTENT_APPLICATION_DATA, &payload));
+            payloads.push(payload);
+        }
+        let mut state = seed | 1;
+        let mut next = |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        // Random chunk sizes, each followed now and then by an overlapping
+        // re-send reaching back to an earlier offset.
+        let mut chunks: Vec<(usize, usize)> = Vec::new();
+        let mut offset = 0usize;
+        while offset < stream.len() {
+            let end = (offset + 1 + next(3000)).min(stream.len());
+            chunks.push((offset, end));
+            if next(4) == 0 {
+                chunks.push((offset.saturating_sub(next(2000)), end));
+            }
+            offset = end;
+        }
+        let receiver = || {
+            let rx = RecordProtection::new(CipherSuite::Aes128CbcExplicitIv, enc, mac, VERSION_TLS11);
+            UtlsReceiver::new(rx, 8)
+        };
+        let check = |got: &[UtlsRecord], rx: &UtlsReceiver| {
+            let mut numbers: Vec<u64> = got.iter().map(|r| r.record_number).collect();
+            numbers.sort_unstable();
+            prop_assert_eq!(numbers, (0..lens.len() as u64).collect::<Vec<u64>>());
+            for r in got {
+                prop_assert_eq!(&r.payload, &payloads[r.record_number as usize]);
+            }
+            prop_assert_eq!(rx.buffered_bytes(), 0);
+        };
+
+        let mut in_order = receiver();
+        let mut got = Vec::new();
+        for &(start, end) in &chunks {
+            got.extend(in_order.on_fragment(start as u64, &stream[start..end]));
+        }
+        prop_assert!(got.iter().all(|r| !r.out_of_order));
+        check(&got, &in_order);
+
+        // Shuffle, and duplicate some chunks at random later positions.
+        let mut order = chunks.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, next(i + 1));
+        }
+        for _ in 0..next(order.len() + 1) {
+            let dup = order[next(order.len())];
+            let at = next(order.len() + 1);
+            order.insert(at, dup);
+        }
+        let mut shuffled = receiver();
+        let mut got = Vec::new();
+        for &(start, end) in &order {
+            got.extend(shuffled.on_fragment(start as u64, &stream[start..end]));
+        }
+        check(&got, &shuffled);
     }
 
     /// TCP segments round-trip through their wire encoding for arbitrary
