@@ -4,10 +4,11 @@
 //! Figure 6 CPU numbers.
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minion_cobs::{decode, encode, frame_datagram, scan_records};
-use minion_crypto::{hmac_sha256, sha256};
+use minion_crypto::{cbc, hmac_sha256, sha256, Aes128};
 use minion_tcp::{SeqNum, TcpFlags, TcpSegment};
 use minion_tls::{
-    CipherSuite, RecordProtection, UtlsReceiver, CONTENT_APPLICATION_DATA, VERSION_TLS11,
+    CipherSuite, RecordHeader, RecordProtection, UtlsReceiver, CONTENT_APPLICATION_DATA,
+    RECORD_HEADER_LEN, VERSION_TLS11,
 };
 use std::time::Duration;
 
@@ -54,6 +55,18 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("hmac_sha256_1400B", |b| {
         b.iter(|| hmac_sha256(b"key", std::hint::black_box(&data)))
     });
+    // CBC over the 78 blocks a 1200-byte record occupies with its MAC and
+    // padding, in place (each iteration re-encrypts the previous output).
+    let aes = Aes128::new(b"0123456789abcdef");
+    let iv = [0x42u8; 16];
+    let mut blocks = payload(1248);
+    group.throughput(Throughput::Bytes(1248));
+    group.bench_function("aes128_cbc_encrypt_1248B", |b| {
+        b.iter(|| cbc::encrypt(&aes, &iv, std::hint::black_box(&mut blocks)))
+    });
+    group.bench_function("aes128_cbc_decrypt_1248B", |b| {
+        b.iter(|| cbc::decrypt(&aes, &iv, std::hint::black_box(&mut blocks)))
+    });
     group.finish();
 }
 
@@ -78,6 +91,18 @@ fn bench_tls(c: &mut Criterion) {
             n += 1;
             wire
         })
+    });
+    group.bench_function("open_record_1400B", |b| {
+        let mut tx = RecordProtection::new(
+            CipherSuite::Aes128CbcExplicitIv,
+            keys.0,
+            keys.1,
+            VERSION_TLS11,
+        );
+        let mut rx = tx.clone();
+        let wire = tx.seal(0, CONTENT_APPLICATION_DATA, &data);
+        let header = RecordHeader::decode(&wire).expect("sealed header");
+        b.iter(|| rx.open(0, &header, std::hint::black_box(&wire[RECORD_HEADER_LEN..])))
     });
     // uTLS out-of-order recovery of a record after a hole.
     group.bench_function("utls_recover_after_hole", |b| {

@@ -1,9 +1,20 @@
-//! AES-128 block cipher (FIPS 197), table-free implementation.
+//! AES-128 block cipher (FIPS 197), 32-bit T-table implementation.
 //!
 //! TLS 1.1 block ciphersuites (the ones uTLS depends on for out-of-order
 //! decryption, because they use explicit per-record IVs) are built on AES in
-//! CBC mode. This is a straightforward, readable implementation — the
-//! simulator's goal is protocol fidelity, not cryptographic performance.
+//! CBC mode, so the block cipher is most of the record layer's per-byte
+//! cost.
+//!
+//! A full round folds SubBytes, ShiftRows and MixColumns into four lookups
+//! per output column: one 256-entry `u32` table per direction ([`TE`],
+//! [`TD`], 1 KiB each), built at compile time from the S-boxes, with byte
+//! rotations of each entry standing in for the other three columns' tables.
+//! Decryption runs the equivalent inverse cipher (FIPS 197 §5.3.5), whose
+//! round keys [`Aes128::new`] expands once next to the encryption keys.
+//!
+//! Like the S-box lookups of a byte-oriented AES, the table lookups are
+//! indexed by secret state bytes: nothing here is hardened against
+//! cache-timing side channels.
 
 /// AES block size in bytes.
 pub const BLOCK_SIZE: usize = 16;
@@ -51,14 +62,13 @@ const INV_SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-fn gmul(a: u8, b: u8) -> u8 {
+/// Multiplication in GF(2^8) modulo the AES polynomial.
+const fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut result = 0u8;
-    let mut a = a;
-    let mut b = b;
     while b != 0 {
         if b & 1 != 0 {
             result ^= a;
@@ -69,144 +79,332 @@ fn gmul(a: u8, b: u8) -> u8 {
     result
 }
 
-/// An expanded AES-128 key schedule.
-#[derive(Clone, Debug)]
+/// `table[x]` is the big-endian column `sbox[x] · coef`: one S-box output's
+/// contribution to a (Inv)MixColumns output column.
+const fn t_table(sbox: &[u8; 256], coef: [u8; 4]) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = sbox[i];
+        table[i] = u32::from_be_bytes([
+            gmul(s, coef[0]),
+            gmul(s, coef[1]),
+            gmul(s, coef[2]),
+            gmul(s, coef[3]),
+        ]);
+        i += 1;
+    }
+    table
+}
+
+/// Encryption round table: SubBytes then MixColumns column `[2, 1, 1, 3]`.
+static TE: [u32; 256] = t_table(&SBOX, [2, 1, 1, 3]);
+/// Decryption round table: InvSubBytes then InvMixColumns column
+/// `[14, 9, 13, 11]`.
+static TD: [u32; 256] = t_table(&INV_SBOX, [14, 9, 13, 11]);
+
+/// One output column of a full round. `a`..`d` are the state columns whose
+/// row-0..row-3 bytes (Inv)ShiftRows moves into this column; a rotation of
+/// the row-0 table entry serves rows 1 to 3.
+#[inline(always)]
+fn round_column(table: &[u32; 256], a: u32, b: u32, c: u32, d: u32, key: u32) -> u32 {
+    table[(a >> 24) as usize]
+        ^ table[(b >> 16) as usize & 0xff].rotate_right(8)
+        ^ table[(c >> 8) as usize & 0xff].rotate_right(16)
+        ^ table[d as usize & 0xff].rotate_right(24)
+        ^ key
+}
+
+/// One output column of the final round, which has no (Inv)MixColumns.
+#[inline(always)]
+fn final_column(sbox: &[u8; 256], a: u32, b: u32, c: u32, d: u32, key: u32) -> u32 {
+    u32::from_be_bytes([
+        sbox[(a >> 24) as usize],
+        sbox[(b >> 16) as usize & 0xff],
+        sbox[(c >> 8) as usize & 0xff],
+        sbox[d as usize & 0xff],
+    ]) ^ key
+}
+
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// InvMixColumns of one column: `TD[SBOX[x]]` is `x · [14, 9, 13, 11]`.
+fn inv_mix_column(w: u32) -> u32 {
+    let [a, b, c, d] = w.to_be_bytes().map(|x| TD[SBOX[x as usize] as usize]);
+    a ^ b.rotate_right(8) ^ c.rotate_right(16) ^ d.rotate_right(24)
+}
+
+/// Load a block as four big-endian column words XORed with a round key.
+fn load(block: &[u8; BLOCK_SIZE], key: &[u32; 4]) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        u32::from_be_bytes([
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ]) ^ key[c]
+    })
+}
+
+fn store(block: &mut [u8; BLOCK_SIZE], s: [u32; 4]) {
+    for (chunk, word) in block.chunks_exact_mut(4).zip(s) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+}
+
+/// An expanded AES-128 key: encryption round keys and the equivalent
+/// inverse cipher's decryption round keys, one column word per entry.
+#[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    enc: [[u32; 4]; ROUNDS + 1],
+    /// In the order decryption applies them: `enc` reversed, with
+    /// InvMixColumns applied to the nine middle round keys.
+    dec: [[u32; 4]; ROUNDS + 1],
+}
+
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Round keys are key material: never print them.
+        f.debug_struct("Aes128").finish_non_exhaustive()
+    }
 }
 
 impl Aes128 {
     /// Expand a 16-byte key.
     pub fn new(key: &[u8; KEY_SIZE]) -> Self {
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        for (i, chunk) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
-        for i in 4..4 * (ROUNDS + 1) {
+        for i in 4..w.len() {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
+                temp = sub_word(temp.rotate_left(8)) ^ ((RCON[i / 4 - 1] as u32) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
+            w[i] = w[i - 4] ^ temp;
+        }
+        let enc: [[u32; 4]; ROUNDS + 1] = std::array::from_fn(|r| {
+            let mut rk = [0u32; 4];
+            rk.copy_from_slice(&w[4 * r..4 * r + 4]);
+            rk
+        });
+        let dec = std::array::from_fn(|r| {
+            let rk = enc[ROUNDS - r];
+            if r == 0 || r == ROUNDS {
+                rk
+            } else {
+                rk.map(inv_mix_column)
             }
-        }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Aes128 { round_keys }
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for i in 0..16 {
-            state[i] ^= rk[i];
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = SBOX[*b as usize];
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
-        }
-    }
-
-    fn shift_rows(state: &mut [u8; 16]) {
-        // State is column-major: state[r + 4c].
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-            state[4 * c + 1] =
-                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-            state[4 * c + 2] =
-                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-            state[4 * c + 3] =
-                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-        }
+        });
+        Aes128 { enc, dec }
     }
 
     /// Encrypt a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[round]);
+        let mut s = load(block, &self.enc[0]);
+        for k in &self.enc[1..ROUNDS] {
+            s = [
+                round_column(&TE, s[0], s[1], s[2], s[3], k[0]),
+                round_column(&TE, s[1], s[2], s[3], s[0], k[1]),
+                round_column(&TE, s[2], s[3], s[0], s[1], k[2]),
+                round_column(&TE, s[3], s[0], s[1], s[2], k[3]),
+            ];
         }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[ROUNDS]);
+        let k = &self.enc[ROUNDS];
+        let out = [
+            final_column(&SBOX, s[0], s[1], s[2], s[3], k[0]),
+            final_column(&SBOX, s[1], s[2], s[3], s[0], k[1]),
+            final_column(&SBOX, s[2], s[3], s[0], s[1], k[2]),
+            final_column(&SBOX, s[3], s[0], s[1], s[2], k[3]),
+        ];
+        store(block, out);
     }
 
     /// Decrypt a single 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        Self::add_round_key(block, &self.round_keys[ROUNDS]);
-        for round in (1..ROUNDS).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-            Self::inv_mix_columns(block);
+        let mut s = load(block, &self.dec[0]);
+        for k in &self.dec[1..ROUNDS] {
+            s = [
+                round_column(&TD, s[0], s[3], s[2], s[1], k[0]),
+                round_column(&TD, s[1], s[0], s[3], s[2], k[1]),
+                round_column(&TD, s[2], s[1], s[0], s[3], k[2]),
+                round_column(&TD, s[3], s[2], s[1], s[0], k[3]),
+            ];
         }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        let k = &self.dec[ROUNDS];
+        let out = [
+            final_column(&INV_SBOX, s[0], s[3], s[2], s[1], k[0]),
+            final_column(&INV_SBOX, s[1], s[0], s[3], s[2], k[1]),
+            final_column(&INV_SBOX, s[2], s[1], s[0], s[3], k[2]),
+            final_column(&INV_SBOX, s[3], s[2], s[1], s[0], k[3]),
+        ];
+        store(block, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-oriented FIPS 197 cipher (byte-serial SubBytes/ShiftRows,
+    /// `gmul`-based MixColumns and the straightforward inverse cipher): the
+    /// oracle the T-table implementation must match bit for bit.
+    mod reference {
+        use super::super::{gmul, INV_SBOX, RCON, ROUNDS, SBOX};
+
+        pub struct RefAes {
+            pub round_keys: [[u8; 16]; ROUNDS + 1],
+        }
+
+        impl RefAes {
+            pub fn new(key: &[u8; 16]) -> Self {
+                let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
+                for i in 0..4 {
+                    w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+                }
+                for i in 4..4 * (ROUNDS + 1) {
+                    let mut temp = w[i - 1];
+                    if i % 4 == 0 {
+                        temp = [
+                            SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
+                            SBOX[temp[2] as usize],
+                            SBOX[temp[3] as usize],
+                            SBOX[temp[0] as usize],
+                        ];
+                    }
+                    for j in 0..4 {
+                        w[i][j] = w[i - 4][j] ^ temp[j];
+                    }
+                }
+                let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+                for (r, rk) in round_keys.iter_mut().enumerate() {
+                    for c in 0..4 {
+                        rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+                    }
+                }
+                RefAes { round_keys }
+            }
+
+            fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+                for i in 0..16 {
+                    state[i] ^= rk[i];
+                }
+            }
+
+            fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
+                for b in state.iter_mut() {
+                    *b = sbox[*b as usize];
+                }
+            }
+
+            fn shift_rows(state: &mut [u8; 16]) {
+                // State is column-major: state[r + 4c].
+                let s = *state;
+                for r in 1..4 {
+                    for c in 0..4 {
+                        state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+                    }
+                }
+            }
+
+            fn inv_shift_rows(state: &mut [u8; 16]) {
+                let s = *state;
+                for r in 1..4 {
+                    for c in 0..4 {
+                        state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+                    }
+                }
+            }
+
+            /// Multiply every column by the circulant matrix whose first
+            /// row is `m`.
+            fn mix(state: &mut [u8; 16], m: [u8; 4]) {
+                for c in 0..4 {
+                    let col = [
+                        state[4 * c],
+                        state[4 * c + 1],
+                        state[4 * c + 2],
+                        state[4 * c + 3],
+                    ];
+                    for r in 0..4 {
+                        state[4 * c + r] =
+                            (0..4).fold(0, |acc, i| acc ^ gmul(col[(r + i) % 4], m[i]));
+                    }
+                }
+            }
+
+            pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+                Self::add_round_key(block, &self.round_keys[0]);
+                for round in 1..ROUNDS {
+                    Self::sub_bytes(block, &SBOX);
+                    Self::shift_rows(block);
+                    Self::mix(block, [2, 3, 1, 1]);
+                    Self::add_round_key(block, &self.round_keys[round]);
+                }
+                Self::sub_bytes(block, &SBOX);
+                Self::shift_rows(block);
+                Self::add_round_key(block, &self.round_keys[ROUNDS]);
+            }
+
+            pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+                Self::add_round_key(block, &self.round_keys[ROUNDS]);
+                for round in (1..ROUNDS).rev() {
+                    Self::inv_shift_rows(block);
+                    Self::sub_bytes(block, &INV_SBOX);
+                    Self::add_round_key(block, &self.round_keys[round]);
+                    Self::mix(block, [14, 11, 13, 9]);
+                }
+                Self::inv_shift_rows(block);
+                Self::sub_bytes(block, &INV_SBOX);
+                Self::add_round_key(block, &self.round_keys[0]);
+            }
+        }
+    }
+
+    use reference::RefAes;
+
+    fn block16(bytes: &[u8]) -> [u8; 16] {
+        bytes.try_into().expect("16 bytes")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random keys and blocks: the T-table cipher matches the
+        /// byte-oriented reference in both directions, its key schedule
+        /// matches the reference round keys, and decryption inverts
+        /// encryption.
+        #[test]
+        fn t_tables_match_byte_oriented_reference(
+            key in proptest::collection::vec(any::<u8>(), 16..17),
+            block in proptest::collection::vec(any::<u8>(), 16..17),
+        ) {
+            let key = block16(&key);
+            let block = block16(&block);
+            let fast = Aes128::new(&key);
+            let reference = RefAes::new(&key);
+            for (words, bytes) in fast.enc.iter().zip(&reference.round_keys) {
+                let mut packed = [0u8; 16];
+                store(&mut packed, *words);
+                prop_assert_eq!(&packed, bytes);
+            }
+
+            let (mut a, mut b) = (block, block);
+            fast.encrypt_block(&mut a);
+            reference.encrypt_block(&mut b);
+            prop_assert_eq!(a, b);
+            fast.decrypt_block(&mut a);
+            prop_assert_eq!(a, block);
+
+            let (mut a, mut b) = (block, block);
+            fast.decrypt_block(&mut a);
+            reference.decrypt_block(&mut b);
+            prop_assert_eq!(a, b);
+        }
+    }
 
     #[test]
     fn fips197_appendix_b_vector() {
@@ -234,6 +432,29 @@ mod tests {
                 0x07, 0x34,
             ]
         );
+    }
+
+    #[test]
+    fn fips197_appendix_c1_vector() {
+        // FIPS 197 Appendix C.1: AES-128 example vector.
+        let key: [u8; 16] = std::array::from_fn(|i| i as u8);
+        let plaintext: [u8; 16] = std::array::from_fn(|i| (i as u8) * 0x11);
+        let ciphertext: [u8; 16] = [
+            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+            0xc5, 0x5a,
+        ];
+        let aes = Aes128::new(&key);
+        let mut block = plaintext;
+        aes.encrypt_block(&mut block);
+        assert_eq!(block, ciphertext);
+        aes.decrypt_block(&mut block);
+        assert_eq!(block, plaintext);
+
+        let reference = RefAes::new(&key);
+        reference.encrypt_block(&mut block);
+        assert_eq!(block, ciphertext);
+        reference.decrypt_block(&mut block);
+        assert_eq!(block, plaintext);
     }
 
     #[test]
@@ -281,5 +502,12 @@ mod tests {
         Aes128::new(b"averysecretkey01").encrypt_block(&mut a);
         Aes128::new(b"averysecretkey02").encrypt_block(&mut b);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn debug_does_not_print_round_keys() {
+        let aes = Aes128::new(&[0xab; 16]);
+        let shown = format!("{aes:?}");
+        assert_eq!(shown, "Aes128 { .. }");
     }
 }

@@ -8,7 +8,7 @@
 //! IVs), which makes records interdependent; that legacy mode is provided
 //! too so the uTLS negotiation logic can detect and refuse it.
 
-use crate::aes::{Aes128, BLOCK_SIZE, KEY_SIZE};
+use crate::aes::{Aes128, BLOCK_SIZE};
 
 /// Errors from CBC decryption.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,11 +30,11 @@ impl std::fmt::Display for CbcError {
 
 impl std::error::Error for CbcError {}
 
-/// Apply TLS (RFC 5246 §6.2.3.2) padding: pad with `n` bytes each of value
-/// `n`, where the padded length is a multiple of the block size and at least
-/// one byte of padding is always added.
-pub fn pad(data: &mut Vec<u8>) {
-    let pad_len = BLOCK_SIZE - (data.len() % BLOCK_SIZE);
+/// Apply TLS (RFC 5246 §6.2.3.2) padding to `data[start..]`: pad with `n`
+/// bytes each of value `n - 1`, so that the padded tail is a multiple of the
+/// block size and at least one byte of padding is always added.
+pub fn pad(data: &mut Vec<u8>, start: usize) {
+    let pad_len = BLOCK_SIZE - ((data.len() - start) % BLOCK_SIZE);
     let pad_byte = (pad_len - 1) as u8;
     data.extend(std::iter::repeat_n(pad_byte, pad_len));
 }
@@ -56,49 +56,42 @@ pub fn unpad(data: &mut Vec<u8>) -> Result<(), CbcError> {
     Ok(())
 }
 
-/// Encrypt `plaintext` (padding it first) under `key` with the given IV.
-pub fn encrypt(key: &[u8; KEY_SIZE], iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let aes = Aes128::new(key);
-    let mut data = plaintext.to_vec();
-    pad(&mut data);
+/// CBC-encrypt whole blocks in place under the given IV ([`pad`] first).
+///
+/// # Panics
+/// If `data` is not a multiple of the block size.
+pub fn encrypt(aes: &Aes128, iv: &[u8; BLOCK_SIZE], data: &mut [u8]) {
+    assert!(
+        data.len().is_multiple_of(BLOCK_SIZE),
+        "CBC input must be padded to whole blocks"
+    );
     let mut prev = *iv;
-    for chunk in data.chunks_mut(BLOCK_SIZE) {
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(chunk);
-        for i in 0..BLOCK_SIZE {
-            block[i] ^= prev[i];
+    for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
+        let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
+        for (b, p) in block.iter_mut().zip(prev) {
+            *b ^= p;
         }
-        aes.encrypt_block(&mut block);
-        chunk.copy_from_slice(&block);
-        prev = block;
+        aes.encrypt_block(block);
+        prev = *block;
     }
-    data
 }
 
-/// Decrypt CBC ciphertext and strip padding.
-pub fn decrypt(
-    key: &[u8; KEY_SIZE],
-    iv: &[u8; BLOCK_SIZE],
-    ciphertext: &[u8],
-) -> Result<Vec<u8>, CbcError> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
+/// CBC-decrypt whole blocks in place ([`unpad`] after).
+pub fn decrypt(aes: &Aes128, iv: &[u8; BLOCK_SIZE], data: &mut [u8]) -> Result<(), CbcError> {
+    if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
         return Err(CbcError::BadLength);
     }
-    let aes = Aes128::new(key);
-    let mut out = ciphertext.to_vec();
     let mut prev = *iv;
-    for chunk in out.chunks_mut(BLOCK_SIZE) {
-        let cipher_block: [u8; BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
-        let mut block = cipher_block;
-        aes.decrypt_block(&mut block);
-        for i in 0..BLOCK_SIZE {
-            block[i] ^= prev[i];
+    for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
+        let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
+        let cipher_block = *block;
+        aes.decrypt_block(block);
+        for (b, p) in block.iter_mut().zip(prev) {
+            *b ^= p;
         }
-        chunk.copy_from_slice(&block);
         prev = cipher_block;
     }
-    unpad(&mut out)?;
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -108,55 +101,82 @@ mod tests {
     const KEY: &[u8; 16] = b"minion-tls-key-0";
     const IV: &[u8; 16] = b"explicit-iv-0000";
 
+    /// Pad and encrypt, as the record layer does.
+    fn seal(key: &[u8; 16], iv: &[u8; 16], plaintext: &[u8]) -> Vec<u8> {
+        let mut data = plaintext.to_vec();
+        pad(&mut data, 0);
+        encrypt(&Aes128::new(key), iv, &mut data);
+        data
+    }
+
+    /// Decrypt and unpad.
+    fn open(key: &[u8; 16], iv: &[u8; 16], ciphertext: &[u8]) -> Result<Vec<u8>, CbcError> {
+        let mut data = ciphertext.to_vec();
+        decrypt(&Aes128::new(key), iv, &mut data)?;
+        unpad(&mut data)?;
+        Ok(data)
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn roundtrip_various_lengths() {
         for len in [0usize, 1, 15, 16, 17, 31, 32, 100, 1000, 1447] {
             let plaintext: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-            let ct = encrypt(KEY, IV, &plaintext);
+            let ct = seal(KEY, IV, &plaintext);
             assert_eq!(ct.len() % BLOCK_SIZE, 0);
             assert!(ct.len() > plaintext.len(), "padding always added");
-            let pt = decrypt(KEY, IV, &ct).unwrap();
+            let pt = open(KEY, IV, &ct).unwrap();
             assert_eq!(pt, plaintext, "len={len}");
         }
     }
 
     #[test]
     fn nist_sp800_38a_cbc_vector() {
-        // SP 800-38A F.2.1 CBC-AES128.Encrypt, first block (we add padding, so
-        // compare only the first ciphertext block).
-        let key: [u8; 16] = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let iv: [u8; 16] = [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ];
-        let plaintext: [u8; 16] = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a,
-        ];
-        let ct = encrypt(&key, &iv, &plaintext);
-        assert_eq!(
-            &ct[..16],
-            &[
-                0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9, 0x8e, 0x9b, 0x12, 0xe9,
-                0x19, 0x7d,
-            ]
-        );
+        // SP 800-38A F.2.1 CBC-AES128.Encrypt and F.2.2 CBC-AES128.Decrypt:
+        // all four blocks, unpadded, in both directions.
+        let key: [u8; 16] = unhex("2b7e151628aed2a6abf7158809cf4f3c")
+            .try_into()
+            .unwrap();
+        let iv: [u8; 16] = unhex("000102030405060708090a0b0c0d0e0f")
+            .try_into()
+            .unwrap();
+        let plaintext = unhex(concat!(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ));
+        let ciphertext = unhex(concat!(
+            "7649abac8119b246cee98e9b12e9197d",
+            "5086cb9b507219ee95db113a917678b2",
+            "73bed6b8e3c1743b7116e69e22229516",
+            "3ff1caa1681fac09120eca307586e1a7",
+        ));
+        let aes = Aes128::new(&key);
+        let mut data = plaintext.clone();
+        encrypt(&aes, &iv, &mut data);
+        assert_eq!(data, ciphertext);
+        decrypt(&aes, &iv, &mut data).unwrap();
+        assert_eq!(data, plaintext);
     }
 
     #[test]
     fn different_ivs_give_different_ciphertext() {
-        let a = encrypt(KEY, b"iv-aaaaaaaaaaaa1", b"identical plaintext");
-        let b = encrypt(KEY, b"iv-aaaaaaaaaaaa2", b"identical plaintext");
+        let a = seal(KEY, b"iv-aaaaaaaaaaaa1", b"identical plaintext");
+        let b = seal(KEY, b"iv-aaaaaaaaaaaa2", b"identical plaintext");
         assert_ne!(a, b);
     }
 
     #[test]
     fn decrypt_with_wrong_iv_fails_or_garbles() {
-        let ct = encrypt(KEY, IV, b"some secret datagram");
-        match decrypt(KEY, b"wrong-iv-0000000", &ct) {
+        let ct = seal(KEY, IV, b"some secret datagram");
+        match open(KEY, b"wrong-iv-0000000", &ct) {
             Ok(pt) => assert_ne!(pt, b"some secret datagram"),
             Err(e) => assert_eq!(e, CbcError::BadPadding),
         }
@@ -164,18 +184,25 @@ mod tests {
 
     #[test]
     fn decrypt_rejects_bad_lengths() {
-        assert_eq!(decrypt(KEY, IV, &[]), Err(CbcError::BadLength));
-        assert_eq!(decrypt(KEY, IV, &[0u8; 17]), Err(CbcError::BadLength));
+        let aes = Aes128::new(KEY);
+        assert_eq!(decrypt(&aes, IV, &mut []), Err(CbcError::BadLength));
+        assert_eq!(decrypt(&aes, IV, &mut [0u8; 17]), Err(CbcError::BadLength));
+    }
+
+    #[test]
+    #[should_panic(expected = "whole blocks")]
+    fn encrypt_rejects_unpadded_input() {
+        encrypt(&Aes128::new(KEY), IV, &mut [0u8; 17]);
     }
 
     #[test]
     fn tampered_ciphertext_usually_fails_padding() {
-        let mut ct = encrypt(KEY, IV, &[7u8; 64]);
+        let mut ct = seal(KEY, IV, &[7u8; 64]);
         let last = ct.len() - 1;
         ct[last] ^= 0xFF;
         // Either padding fails or the plaintext is corrupted; both are fine
         // here because the record MAC is the real integrity check.
-        if let Ok(pt) = decrypt(KEY, IV, &ct) {
+        if let Ok(pt) = open(KEY, IV, &ct) {
             assert_ne!(pt, vec![7u8; 64]);
         }
     }
@@ -183,7 +210,7 @@ mod tests {
     #[test]
     fn padding_is_tls_style() {
         let mut v = vec![1u8, 2, 3];
-        pad(&mut v);
+        pad(&mut v, 0);
         assert_eq!(v.len(), 16);
         assert!(v[3..].iter().all(|&b| b == 12));
         unpad(&mut v).unwrap();
@@ -191,9 +218,15 @@ mod tests {
 
         // Exact multiple gets a full block of padding.
         let mut v = vec![0u8; 16];
-        pad(&mut v);
+        pad(&mut v, 0);
         assert_eq!(v.len(), 32);
         assert!(v[16..].iter().all(|&b| b == 15));
+
+        // Only the bytes from `start` on count towards the block multiple.
+        let mut v = vec![9u8; 5 + 16];
+        pad(&mut v, 5);
+        assert_eq!(v.len(), 5 + 32);
+        assert!(v[5 + 16..].iter().all(|&b| b == 15));
     }
 
     #[test]

@@ -8,10 +8,22 @@
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Incremental HMAC-SHA256.
-#[derive(Clone, Debug)]
+///
+/// Both key pads are absorbed in [`HmacSha256::new`], so a keyed context can
+/// be cloned per message instead of re-keyed: each clone then costs no
+/// compression for the pads.
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key_pad: [u8; BLOCK_LEN],
+    /// The outer hash with the opad block already absorbed.
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The hash states are derived from the key: never print them.
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -24,18 +36,11 @@ impl HmacSha256 {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key_pad: opad,
-        }
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message data.
@@ -46,8 +51,7 @@ impl HmacSha256 {
     /// Produce the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key_pad);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -134,6 +138,27 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), one_shot);
+    }
+
+    #[test]
+    fn cloned_keyed_context_equals_fresh_context() {
+        for key in [&b"k"[..], &[0x0b; 32], &[0xaa; 131]] {
+            let keyed = HmacSha256::new(key);
+            for len in [0usize, 1, 19, 55, 56, 64, 1400] {
+                let msg: Vec<u8> = (0..len).map(|i| (i * 13 + len) as u8).collect();
+                let mut reused = keyed.clone();
+                reused.update(&msg);
+                assert_eq!(reused.finalize(), hmac_sha256(key, &msg), "len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_does_not_print_key_state() {
+        assert_eq!(
+            format!("{:?}", HmacSha256::new(b"secret")),
+            "HmacSha256 { .. }"
+        );
     }
 
     #[test]

@@ -77,16 +77,14 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit length.
-        self.update(&[0x80]);
-        // update() changed total_len, but only bit_len matters and was latched.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        let block_remaining = self.buffer_len;
-        self.buffer[block_remaining..block_remaining + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit length, all
+        // absorbed in one update that ends exactly on a block boundary.
+        let zeros = (BLOCK_LEN + 55 - self.buffer_len) % BLOCK_LEN;
+        let mut padding = [0u8; BLOCK_LEN + 8];
+        padding[0] = 0x80;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
+        debug_assert_eq!(self.buffer_len, 0);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {

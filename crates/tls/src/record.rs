@@ -5,6 +5,7 @@
 
 use minion_crypto::cbc;
 use minion_crypto::hmac::{constant_time_eq, HmacSha256};
+use minion_crypto::Aes128;
 
 /// TLS content type for handshake records.
 pub const CONTENT_HANDSHAKE: u8 = 22;
@@ -98,14 +99,31 @@ impl CipherSuite {
 }
 
 /// Keys and state for protecting records in one direction.
-#[derive(Clone, Debug)]
+///
+/// The AES key schedule and both keyed HMAC contexts are built once in
+/// [`RecordProtection::new`]; each record clones an HMAC context instead of
+/// re-keying it.
+#[derive(Clone)]
 pub struct RecordProtection {
     suite: CipherSuite,
-    enc_key: [u8; 16],
-    mac_key: [u8; 32],
     version: (u8, u8),
+    aes: Aes128,
+    /// Record MAC context keyed with the MAC key.
+    mac: HmacSha256,
+    /// Explicit-IV derivation context keyed with the encryption key.
+    iv_mac: HmacSha256,
     /// Chained-IV state (TLS 1.0 mode): last ciphertext block sent/received.
     chain_iv: [u8; IV_LEN],
+}
+
+impl std::fmt::Debug for RecordProtection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Keys, key-derived state and the chained IV are never printed.
+        f.debug_struct("RecordProtection")
+            .field("suite", &self.suite)
+            .field("version", &self.version)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Error returned when a record fails authentication or decryption.
@@ -138,9 +156,10 @@ impl RecordProtection {
     ) -> Self {
         RecordProtection {
             suite,
-            enc_key,
-            mac_key,
             version,
+            aes: Aes128::new(&enc_key),
+            mac: HmacSha256::new(&mac_key),
+            iv_mac: HmacSha256::new(&enc_key),
             chain_iv: [0x42; IV_LEN],
         }
     }
@@ -160,7 +179,7 @@ impl RecordProtection {
     /// The pseudo-header includes the 64-bit per-record sequence number — the
     /// value the uTLS receiver must *predict* for out-of-order records.
     fn compute_mac(&self, record_number: u64, content_type: u8, plaintext: &[u8]) -> [u8; MAC_LEN] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(&record_number.to_be_bytes());
         mac.update(&[content_type, self.version.0, self.version.1]);
         mac.update(&(plaintext.len() as u16).to_be_bytes());
@@ -172,7 +191,7 @@ impl RecordProtection {
     /// (a CSPRNG in real TLS; determinism keeps simulations reproducible and
     /// does not weaken the properties uTLS relies on).
     fn explicit_iv(&self, record_number: u64) -> [u8; IV_LEN] {
-        let mut mac = HmacSha256::new(&self.enc_key);
+        let mut mac = self.iv_mac.clone();
         mac.update(b"explicit iv");
         mac.update(&record_number.to_be_bytes());
         let digest = mac.finalize();
@@ -183,38 +202,38 @@ impl RecordProtection {
 
     /// Protect one record: returns the full wire bytes (header + body).
     pub fn seal(&mut self, record_number: u64, content_type: u8, plaintext: &[u8]) -> Vec<u8> {
-        let body = match self.suite {
-            CipherSuite::Null => plaintext.to_vec(),
+        // Header, explicit IV, plaintext, MAC and at most one block of
+        // padding; the header goes in last, once the body length is known.
+        let mut out =
+            Vec::with_capacity(RECORD_HEADER_LEN + IV_LEN + plaintext.len() + MAC_LEN + IV_LEN);
+        out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+        let iv = match self.suite {
+            CipherSuite::Null => None,
             CipherSuite::Aes128CbcExplicitIv => {
-                let mac = self.compute_mac(record_number, content_type, plaintext);
-                let mut to_encrypt = plaintext.to_vec();
-                to_encrypt.extend_from_slice(&mac);
                 let iv = self.explicit_iv(record_number);
-                let ciphertext = cbc::encrypt(&self.enc_key, &iv, &to_encrypt);
-                let mut body = iv.to_vec();
-                body.extend_from_slice(&ciphertext);
-                body
+                out.extend_from_slice(&iv);
+                Some(iv)
             }
-            CipherSuite::Aes128CbcChainedIv => {
-                let mac = self.compute_mac(record_number, content_type, plaintext);
-                let mut to_encrypt = plaintext.to_vec();
-                to_encrypt.extend_from_slice(&mac);
-                let iv = self.chain_iv;
-                let ciphertext = cbc::encrypt(&self.enc_key, &iv, &to_encrypt);
-                // Next record chains off this record's final ciphertext block.
-                self.chain_iv
-                    .copy_from_slice(&ciphertext[ciphertext.len() - IV_LEN..]);
-                ciphertext
-            }
+            CipherSuite::Aes128CbcChainedIv => Some(self.chain_iv),
         };
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        if let Some(iv) = iv {
+            let mac = self.compute_mac(record_number, content_type, plaintext);
+            out.extend_from_slice(&mac);
+            cbc::pad(&mut out, start);
+            cbc::encrypt(&self.aes, &iv, &mut out[start..]);
+            if self.suite == CipherSuite::Aes128CbcChainedIv {
+                // Next record chains off this record's final ciphertext block.
+                self.chain_iv.copy_from_slice(&out[out.len() - IV_LEN..]);
+            }
+        }
         let header = RecordHeader {
             content_type,
             version: self.version,
-            length: body.len(),
+            length: out.len() - RECORD_HEADER_LEN,
         };
-        let mut out = Vec::with_capacity(RECORD_HEADER_LEN + body.len());
-        out.extend_from_slice(&header.encode());
-        out.extend_from_slice(&body);
+        out[..RECORD_HEADER_LEN].copy_from_slice(&header.encode());
         out
     }
 
@@ -231,45 +250,31 @@ impl RecordProtection {
         if body.len() != header.length {
             return Err(RecordError::TooShort);
         }
-        match self.suite {
-            CipherSuite::Null => Ok(body.to_vec()),
+        let (iv, ciphertext) = match self.suite {
+            CipherSuite::Null => return Ok(body.to_vec()),
+            _ if body.len() < IV_LEN + MAC_LEN => return Err(RecordError::TooShort),
             CipherSuite::Aes128CbcExplicitIv => {
-                if body.len() < IV_LEN + MAC_LEN {
-                    return Err(RecordError::TooShort);
-                }
-                let mut iv = [0u8; IV_LEN];
-                iv.copy_from_slice(&body[..IV_LEN]);
-                let plaintext_mac = cbc::decrypt(&self.enc_key, &iv, &body[IV_LEN..])
-                    .map_err(|_| RecordError::BadRecord)?;
-                if plaintext_mac.len() < MAC_LEN {
-                    return Err(RecordError::BadRecord);
-                }
-                let (plaintext, mac) = plaintext_mac.split_at(plaintext_mac.len() - MAC_LEN);
-                let expected = self.compute_mac(record_number, header.content_type, plaintext);
-                if !constant_time_eq(mac, &expected) {
-                    return Err(RecordError::BadRecord);
-                }
-                Ok(plaintext.to_vec())
+                let (iv, ciphertext) = body.split_at(IV_LEN);
+                (iv.try_into().expect("IV_LEN bytes"), ciphertext)
             }
-            CipherSuite::Aes128CbcChainedIv => {
-                if body.len() < IV_LEN + MAC_LEN {
-                    return Err(RecordError::TooShort);
-                }
-                let iv = self.chain_iv;
-                let plaintext_mac =
-                    cbc::decrypt(&self.enc_key, &iv, body).map_err(|_| RecordError::BadRecord)?;
-                if plaintext_mac.len() < MAC_LEN {
-                    return Err(RecordError::BadRecord);
-                }
-                let (plaintext, mac) = plaintext_mac.split_at(plaintext_mac.len() - MAC_LEN);
-                let expected = self.compute_mac(record_number, header.content_type, plaintext);
-                if !constant_time_eq(mac, &expected) {
-                    return Err(RecordError::BadRecord);
-                }
-                self.chain_iv.copy_from_slice(&body[body.len() - IV_LEN..]);
-                Ok(plaintext.to_vec())
-            }
+            CipherSuite::Aes128CbcChainedIv => (self.chain_iv, body),
+        };
+        let mut plaintext = ciphertext.to_vec();
+        cbc::decrypt(&self.aes, &iv, &mut plaintext).map_err(|_| RecordError::BadRecord)?;
+        cbc::unpad(&mut plaintext).map_err(|_| RecordError::BadRecord)?;
+        let Some(mac_start) = plaintext.len().checked_sub(MAC_LEN) else {
+            return Err(RecordError::BadRecord);
+        };
+        let expected =
+            self.compute_mac(record_number, header.content_type, &plaintext[..mac_start]);
+        if !constant_time_eq(&plaintext[mac_start..], &expected) {
+            return Err(RecordError::BadRecord);
         }
+        plaintext.truncate(mac_start);
+        if self.suite == CipherSuite::Aes128CbcChainedIv {
+            self.chain_iv.copy_from_slice(&body[body.len() - IV_LEN..]);
+        }
+        Ok(plaintext)
     }
 }
 
@@ -394,6 +399,57 @@ mod tests {
         assert!(!CipherSuite::Null.supports_out_of_order());
         assert!(CipherSuite::Aes128CbcExplicitIv.supports_out_of_order());
         assert!(!CipherSuite::Aes128CbcChainedIv.supports_out_of_order());
+    }
+
+    /// Pins the wire format: 8 record numbers × 7 plaintext lengths sealed
+    /// under both CBC suites with fixed keys must hash to a digest captured
+    /// from the original byte-oriented AES and per-record keyed HMAC, and
+    /// every record must open back to its plaintext.
+    #[test]
+    fn wire_bytes_match_golden_digest() {
+        let enc: [u8; 16] = std::array::from_fn(|i| i as u8);
+        let mac: [u8; 32] = std::array::from_fn(|i| 0x80 + i as u8);
+        let lengths = [0usize, 1, 15, 16, 17, 1200, 1400];
+        let mut all = Vec::new();
+        for suite in [
+            CipherSuite::Aes128CbcExplicitIv,
+            CipherSuite::Aes128CbcChainedIv,
+        ] {
+            let mut tx = RecordProtection::new(suite, enc, mac, VERSION_TLS11);
+            let mut rx = RecordProtection::new(suite, enc, mac, VERSION_TLS11);
+            for n in 0..8u64 {
+                for &len in &lengths {
+                    let plain: Vec<u8> = (0..len).map(|i| (i * 7 + n as usize) as u8).collect();
+                    let wire = tx.seal(n, CONTENT_APPLICATION_DATA, &plain);
+                    let (h, body) = split(&wire);
+                    assert_eq!(rx.open(n, &h, body).unwrap(), plain, "{suite:?} n={n}");
+                    all.extend_from_slice(&wire);
+                }
+            }
+        }
+        let hex: String = minion_crypto::sha256(&all)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "5092fb8ab441a6f459dfba3e7459063daca2768fcd071775cc59d37cba6e31cd"
+        );
+    }
+
+    #[test]
+    fn debug_redacts_key_material() {
+        let enc = [0xe5u8; 16];
+        let mac = [0x3cu8; 32];
+        let prot = RecordProtection::new(CipherSuite::Aes128CbcExplicitIv, enc, mac, VERSION_TLS11);
+        let shown = format!("{prot:?}");
+        assert_eq!(
+            shown,
+            "RecordProtection { suite: Aes128CbcExplicitIv, version: (3, 2), .. }"
+        );
+        for rendered in ["229", "e5", "60", "3c"] {
+            assert!(!format!("{prot:#?}").contains(rendered), "{rendered}");
+        }
     }
 
     #[test]
