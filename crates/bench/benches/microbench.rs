@@ -1,15 +1,17 @@
 //! Criterion microbenchmarks of the data-path hot spots: COBS encoding and
-//! record scanning, TLS record protection, uTLS out-of-order recovery, and
-//! TCP segment serialization. These quantify the per-byte costs behind the
+//! record scanning, the uCOBS receiver, TLS record protection, uTLS
+//! out-of-order recovery, and TCP segment serialization. These quantify the per-byte costs behind the
 //! Figure 6 CPU numbers.
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minion_cobs::{decode, encode, frame_datagram, scan_records};
+use minion_core::UcobsReceiver;
 use minion_crypto::{cbc, hmac_sha256, sha256, Aes128};
 use minion_tcp::{SeqNum, TcpFlags, TcpSegment};
 use minion_tls::{
     CipherSuite, RecordHeader, RecordProtection, UtlsReceiver, CONTENT_APPLICATION_DATA,
     RECORD_HEADER_LEN, VERSION_TLS11,
 };
+use std::ops::Range;
 use std::time::Duration;
 
 fn payload(len: usize) -> Vec<u8> {
@@ -38,6 +40,67 @@ fn bench_cobs(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(stream.len() as u64));
     group.bench_function("scan_20_records", |b| {
         b.iter(|| scan_records(std::hint::black_box(&stream), true))
+    });
+    let datagram = payload(1200);
+    group.throughput(Throughput::Bytes(1200));
+    group.bench_function("frame_1200B", |b| {
+        b.iter(|| frame_datagram(std::hint::black_box(&datagram)))
+    });
+    group.finish();
+}
+
+/// A fixed receive schedule for 1000 framed 1200-byte datagrams: 1448-byte
+/// segments in stream order, except that every 50th segment (2%) arrives 30
+/// segments late, as a retransmission would. Segments arriving while a hole
+/// is open are flagged out of order.
+fn lossy_schedule() -> (Vec<u8>, Vec<(Range<usize>, bool)>) {
+    let mut stream = Vec::new();
+    for seq in 0..1000u32 {
+        let mut d = payload(1200);
+        d[..4].copy_from_slice(&seq.to_be_bytes());
+        stream.extend_from_slice(&frame_datagram(&d));
+    }
+    let segments: Vec<Range<usize>> = (0..stream.len())
+        .step_by(1448)
+        .map(|start| start..(start + 1448).min(stream.len()))
+        .collect();
+    let mut schedule = Vec::new();
+    let mut late: Vec<(usize, Range<usize>)> = Vec::new();
+    for (i, seg) in segments.into_iter().enumerate() {
+        if i % 50 == 49 {
+            late.push((i + 30, seg));
+        } else {
+            schedule.push((seg, late.is_empty()));
+        }
+        while late.first().is_some_and(|(due, _)| *due <= i) {
+            let (_, seg) = late.remove(0);
+            schedule.push((seg, true));
+        }
+    }
+    for (_, seg) in late {
+        schedule.push((seg, true));
+    }
+    (stream, schedule)
+}
+
+fn bench_ucobs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ucobs");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let (stream, schedule) = lossy_schedule();
+    group.throughput(Throughput::Bytes(stream.len() as u64));
+    group.bench_function("receiver_2pct_shuffled", |b| {
+        b.iter(|| {
+            let mut rx = UcobsReceiver::new();
+            let mut delivered = 0;
+            for (range, in_order) in &schedule {
+                let chunk = &stream[range.clone()];
+                delivered += rx.on_chunk(range.start as u64, chunk, *in_order).len();
+            }
+            assert_eq!(delivered, 1000);
+            rx.buffered_bytes()
+        })
     });
     group.finish();
 }
@@ -151,5 +214,12 @@ fn bench_tcp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cobs, bench_crypto, bench_tls, bench_tcp);
+criterion_group!(
+    benches,
+    bench_cobs,
+    bench_ucobs,
+    bench_crypto,
+    bench_tls,
+    bench_tcp
+);
 criterion_main!(benches);

@@ -39,56 +39,82 @@ pub fn max_encoded_len(len: usize) -> usize {
     len + len / MAX_RUN + 1
 }
 
+/// Index of the first [`MARKER`] byte in `bytes`, if any.
+///
+/// Word-at-a-time (SWAR): each 8-byte word is tested for a zero byte with
+/// the `(w - 0x01..01) & !w & 0x80..80` trick, whose lowest set bit marks
+/// the first zero byte of a little-endian word exactly.
+pub fn find_marker(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let zeros = w.wrapping_sub(ONES) & !w & HIGHS;
+        if zeros != 0 {
+            return Some(base + zeros.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == MARKER).map(|i| base + i)
+}
+
 /// COBS-encode `input`. The output contains no zero bytes.
 pub fn encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(max_encoded_len(input.len()));
-    let mut code_idx = out.len();
-    out.push(0); // placeholder for the first code byte
-    let mut code: u8 = 1;
-
-    for &b in input {
-        if b == MARKER {
-            out[code_idx] = code;
-            code_idx = out.len();
-            out.push(0);
-            code = 1;
-        } else {
-            out.push(b);
-            code += 1;
-            if code == 0xFF {
-                out[code_idx] = code;
-                code_idx = out.len();
-                out.push(0);
-                code = 1;
-            }
-        }
-    }
-    out[code_idx] = code;
+    let mut out = Vec::new();
+    encode_into(input, &mut out);
     out
 }
 
-/// Decode COBS-encoded data produced by [`encode`].
+/// COBS-encode `input`, appending the encoding to `out`.
+///
+/// Works a run at a time: each zero-delimited run of at most 254 bytes
+/// becomes its code byte followed by one bulk copy of the run.
+pub(crate) fn encode_into(input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(max_encoded_len(input.len()));
+    let mut rest = input;
+    loop {
+        let window = &rest[..rest.len().min(MAX_RUN)];
+        match find_marker(window) {
+            Some(run) => {
+                // The zero ending the run is implied by the code byte.
+                out.push(run as u8 + 1);
+                out.extend_from_slice(&window[..run]);
+                rest = &rest[run + 1..];
+            }
+            None if window.len() == MAX_RUN => {
+                // A maximal run implies no zero after it.
+                out.push(0xFF);
+                out.extend_from_slice(window);
+                rest = &rest[MAX_RUN..];
+            }
+            None => {
+                out.push(window.len() as u8 + 1);
+                out.extend_from_slice(window);
+                return;
+            }
+        }
+    }
+}
+
+/// Decode COBS-encoded data produced by [`encode`], a run at a time.
 pub fn decode(input: &[u8]) -> Result<Vec<u8>, CobsError> {
     let mut out = Vec::with_capacity(input.len());
-    let mut i = 0;
-    while i < input.len() {
-        let code = input[i];
+    let mut rest = input;
+    while let Some((&code, tail)) = rest.split_first() {
         if code == MARKER {
             return Err(CobsError::UnexpectedMarker);
         }
-        let run = code as usize - 1;
-        if i + 1 + run > input.len() {
-            return Err(CobsError::Truncated);
+        let run = tail.get(..code as usize - 1).ok_or(CobsError::Truncated)?;
+        if find_marker(run).is_some() {
+            return Err(CobsError::UnexpectedMarker);
         }
-        for &b in &input[i + 1..i + 1 + run] {
-            if b == MARKER {
-                return Err(CobsError::UnexpectedMarker);
-            }
-            out.push(b);
-        }
-        i += 1 + run;
+        out.extend_from_slice(run);
+        rest = &tail[run.len()..];
         // A maximal code byte (0xFF) does not imply a following zero.
-        if code != 0xFF && i < input.len() {
+        if code != 0xFF && !rest.is_empty() {
             out.push(MARKER);
         }
     }
@@ -107,6 +133,104 @@ pub fn overhead_ratio(payload: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-serial encoder the run-at-a-time one replaced, kept as the
+    /// oracle for its wire bytes.
+    fn encode_byte_serial(input: &[u8]) -> Vec<u8> {
+        let mut out = vec![0];
+        let mut code_idx = 0;
+        let mut code: u8 = 1;
+        for &b in input {
+            if b == MARKER {
+                out[code_idx] = code;
+                code_idx = out.len();
+                out.push(0);
+                code = 1;
+            } else {
+                out.push(b);
+                code += 1;
+                if code == 0xFF {
+                    out[code_idx] = code;
+                    code_idx = out.len();
+                    out.push(0);
+                    code = 1;
+                }
+            }
+        }
+        out[code_idx] = code;
+        out
+    }
+
+    /// Random bytes whose zero density `mode` picks: no zeros, all zeros,
+    /// or about one zero in `mode` bytes, so runs of every length up to and
+    /// past 254 occur.
+    fn bytes_with_zeros(len: usize, mode: u32, seed: u64) -> Vec<u8> {
+        let zero_one_in = match mode % 4 {
+            0 => 0,
+            1 => 1,
+            _ => mode,
+        };
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (state >> 33) as u32;
+                if zero_one_in != 0 && r.is_multiple_of(zero_one_in) {
+                    0
+                } else {
+                    1 + (r >> 8) as u8 % 255
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encode_matches_byte_serial_oracle(
+            len in 0usize..1600,
+            mode in 0u32..600,
+            seed in any::<u64>(),
+        ) {
+            let data = bytes_with_zeros(len, mode, seed);
+            let encoded = encode(&data);
+            prop_assert_eq!(&encoded, &encode_byte_serial(&data));
+            prop_assert_eq!(decode(&encoded).unwrap(), data);
+        }
+
+        #[test]
+        fn find_marker_matches_position(
+            len in 0usize..100,
+            mode in 0u32..64,
+            seed in any::<u64>(),
+            skip in 0usize..9,
+        ) {
+            let data = bytes_with_zeros(len, mode, seed);
+            // Unaligned starts put the zero at every lane of a word.
+            let data = &data[skip.min(data.len())..];
+            prop_assert_eq!(find_marker(data), data.iter().position(|&b| b == MARKER));
+        }
+    }
+
+    #[test]
+    fn find_marker_sees_every_lane_and_the_tail() {
+        for len in 0..=20 {
+            for at in 0..len {
+                let mut data = vec![0x80u8; len];
+                data[at] = MARKER;
+                if at + 1 < len {
+                    data[at + 1] = MARKER;
+                }
+                assert_eq!(find_marker(&data), Some(at), "len={len} at={at}");
+            }
+            assert_eq!(find_marker(&vec![0xFFu8; len]), None);
+            assert_eq!(find_marker(&vec![0x01u8; len]), None);
+        }
+    }
 
     /// Reference examples from the COBS paper / Wikipedia.
     #[test]

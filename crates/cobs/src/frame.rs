@@ -7,20 +7,21 @@
 //! with no holes in between.
 //!
 //! This module provides the sender-side framer and a scanner that extracts
-//! complete records from a contiguous stream fragment, reporting each
-//! record's position so the caller (the uCOBS endpoint) can avoid delivering
-//! the same record twice. A conventional length-prefixed (TLV) framer is also
-//! provided as the in-order baseline used by the paper's comparison
-//! experiments.
+//! every complete record from one contiguous stream fragment, with its
+//! position in the fragment. The uCOBS receiver does not rescan fragments:
+//! it searches only newly arrived bytes for markers and decodes each record
+//! once, when its closing marker first becomes reachable. A conventional
+//! length-prefixed (TLV) framer is also provided as the in-order baseline
+//! used by the paper's comparison experiments.
 
-use crate::encode::{decode, encode, CobsError, MARKER};
+use crate::encode::{decode, encode_into, find_marker, max_encoded_len, CobsError, MARKER};
 
-/// Frame one datagram for transmission: `marker || COBS(data) || marker`.
+/// Frame one datagram for transmission: `marker || COBS(data) || marker`,
+/// encoded straight into the framed buffer.
 pub fn frame_datagram(data: &[u8]) -> Vec<u8> {
-    let encoded = encode(data);
-    let mut out = Vec::with_capacity(encoded.len() + 2);
+    let mut out = Vec::with_capacity(max_encoded_len(data.len()) + 2);
     out.push(MARKER);
-    out.extend_from_slice(&encoded);
+    encode_into(data, &mut out);
     out.push(MARKER);
     out
 }
@@ -42,7 +43,7 @@ pub struct ScannedRecord {
 }
 
 /// Scan a contiguous stream fragment for complete, properly delimited
-/// records.
+/// records, jumping from marker to marker.
 ///
 /// `is_stream_start` indicates that the fragment begins at stream offset 0
 /// (or, more generally, at a point known to be a record boundary), in which
@@ -51,33 +52,26 @@ pub struct ScannedRecord {
 /// sender is not a uCOBS sender).
 pub fn scan_records(fragment: &[u8], is_stream_start: bool) -> Vec<ScannedRecord> {
     let mut records = Vec::new();
-    let mut i = 0;
-
     // Position of the marker (or known boundary) that could open a record.
-    let mut open: Option<usize> = if is_stream_start { Some(0) } else { None };
-    // Skip a leading marker if the fragment starts with one.
-    while i < fragment.len() {
-        if fragment[i] == MARKER {
-            // This marker closes any open record and opens a new one.
-            if let Some(start) = open {
-                let content_start = if fragment.get(start) == Some(&MARKER) {
-                    start + 1
-                } else {
-                    start
-                };
-                if content_start < i {
-                    if let Ok(payload) = decode(&fragment[content_start..i]) {
-                        records.push(ScannedRecord {
-                            start,
-                            end: i + 1,
-                            payload,
-                        });
-                    }
+    let mut open: Option<usize> = is_stream_start.then_some(0);
+    let mut at = 0;
+    while let Some(found) = find_marker(&fragment[at..]) {
+        let i = at + found;
+        // This marker closes any open record and opens a new one.
+        if let Some(start) = open {
+            let content_start = start + usize::from(fragment[start] == MARKER);
+            if content_start < i {
+                if let Ok(payload) = decode(&fragment[content_start..i]) {
+                    records.push(ScannedRecord {
+                        start,
+                        end: i + 1,
+                        payload,
+                    });
                 }
             }
-            open = Some(i);
         }
-        i += 1;
+        open = Some(i);
+        at = i + 1;
     }
     records
 }

@@ -12,7 +12,8 @@
 //! unified by [`MinionTransport`].
 //!
 //! All endpoints run over the simulated hosts of `minion-stack`; the same
-//! protocol state machines would sit unchanged on top of a kernel uTCP.
+//! protocol state machines would sit unchanged on top of a kernel uTCP. The
+//! uCOBS receive path is also available host-free as [`UcobsReceiver`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,5 +31,5 @@ pub use fragment::{Fragment, FragmentStore};
 pub use negotiate::{choose_protocol, AppRequirements, PathCapabilities};
 pub use shims::{TcpTlvSocket, UdpShim};
 pub use transport::MinionTransport;
-pub use ucobs::{Datagram, UcobsSocket, UcobsStats};
+pub use ucobs::{Datagram, UcobsReceiver, UcobsSocket, UcobsStats};
 pub use utls_socket::{UtlsSocket, UtlsSocketStats};

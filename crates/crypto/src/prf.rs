@@ -40,7 +40,7 @@ pub fn prf(secret: &[u8], label: &str, seed: &[u8], out_len: usize) -> Vec<u8> {
 /// The complete key block for one connection direction pair, mirroring the
 /// TLS key expansion: client/server MAC keys followed by client/server
 /// encryption keys.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct KeyBlock {
     /// MAC key for records sent by the client.
     pub client_mac_key: [u8; 32],
@@ -50,6 +50,13 @@ pub struct KeyBlock {
     pub client_enc_key: [u8; 16],
     /// AES-128 key for records sent by the server.
     pub server_enc_key: [u8; 16],
+}
+
+impl std::fmt::Debug for KeyBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Every field is key material; none is printed.
+        f.debug_struct("KeyBlock").finish_non_exhaustive()
+    }
 }
 
 impl KeyBlock {
@@ -124,6 +131,27 @@ mod tests {
         // Stable across derivations.
         let kb2 = KeyBlock::derive(&ms, b"client-random-32", b"server-random-32");
         assert_eq!(kb, kb2);
+    }
+
+    #[test]
+    fn key_block_debug_prints_no_key_byte() {
+        let ms = master_secret(b"pre-shared-key", b"client-random-32", b"server-random-32");
+        let kb = KeyBlock::derive(&ms, b"client-random-32", b"server-random-32");
+        assert_eq!(format!("{kb:?}"), "KeyBlock { .. }");
+        let pretty = format!("{kb:#?}");
+        let keys = [
+            &kb.client_mac_key[..],
+            &kb.server_mac_key[..],
+            &kb.client_enc_key[..],
+            &kb.server_enc_key[..],
+        ];
+        for &b in keys.concat().iter() {
+            assert!(!pretty.contains(&format!("{b}")), "decimal {b} in {pretty}");
+            assert!(
+                !pretty.contains(&format!("{b:02x}")),
+                "hex {b:02x} in {pretty}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct CellReport {
     pub delivered: u64,
     /// Transport-level out-of-order deliveries observed at the receiver.
     pub out_of_order: u64,
-    /// Duplicate records suppressed by the receiver (uCOBS path).
+    /// Received chunks the uCOBS receiver dropped unscanned because they
+    /// carried no new stream byte (`UcobsStats::duplicates_suppressed`).
     pub duplicates_suppressed: u64,
     /// MAC-rejected record candidates (uTLS guess-and-verify; rejected
     /// guesses are normal, accepted-but-wrong ones are impossible).
@@ -496,7 +497,7 @@ pub fn run_matrix_once(cells: &[CellSpec], threads: usize) -> Vec<CellReport> {
 }
 
 /// A text table of per-cell results (label, delivered/sent, out-of-order,
-/// completion time).
+/// duplicate chunks dropped by the uCOBS receiver, completion time).
 pub fn summarize(reports: &[CellReport]) -> String {
     let mut out = String::new();
     let width = reports.iter().map(|r| r.label.len()).max().unwrap_or(10);

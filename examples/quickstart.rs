@@ -64,7 +64,7 @@ fn main() {
         sender.stats().overhead_ratio()
     );
     println!(
-        "receiver stats: {} received, {} out of order, {} duplicates suppressed",
+        "receiver stats: {} received, {} out of order, {} duplicate chunks dropped",
         receiver.stats().datagrams_received,
         receiver.stats().out_of_order_received,
         receiver.stats().duplicates_suppressed

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and codecs.
 
 use minion_repro::cobs;
-use minion_repro::core::FragmentStore;
+use minion_repro::core::{FragmentStore, UcobsReceiver};
 use minion_repro::crypto;
 use minion_repro::tcp::{SackBlock, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use minion_repro::tls::{
@@ -157,6 +157,82 @@ proptest! {
             got.extend(shuffled.on_fragment(start as u64, &stream[start..end]));
         }
         check(&got, &shuffled);
+    }
+
+    /// The uCOBS receiver delivers every record exactly once, byte-exact,
+    /// whatever order, duplication and overlap the stream's chunks arrive
+    /// with; in-order arrival never yields an out-of-order datagram, and once
+    /// the whole stream has arrived at most its trailing marker stays
+    /// buffered.
+    #[test]
+    fn ucobs_receiver_delivers_each_record_exactly_once(
+        lens in proptest::collection::vec(0usize..1501, 1..40),
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let mut next = |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        // Zero-heavy and zero-free payloads: COBS runs from 0 to 254 bytes.
+        let mut stream = Vec::new();
+        let mut payloads = Vec::new();
+        for (n, &len) in lens.iter().enumerate() {
+            let payload: Vec<u8> = match n % 3 {
+                0 => (0..len).map(|i| (i * 31 + n * 7) as u8 | 1).collect(),
+                1 => (0..len).map(|_| if next(3) == 0 { 0 } else { next(256) as u8 }).collect(),
+                _ => (0..len).map(|i| (i % 2 * n) as u8).collect(),
+            };
+            stream.extend_from_slice(&cobs::frame_datagram(&payload));
+            payloads.push(payload);
+        }
+        // Random chunk sizes, each followed now and then by an overlapping
+        // re-send reaching back to an earlier offset.
+        let mut chunks: Vec<(usize, usize)> = Vec::new();
+        let mut offset = 0usize;
+        while offset < stream.len() {
+            let end = (offset + 1 + next(3000)).min(stream.len());
+            chunks.push((offset, end));
+            if next(4) == 0 {
+                chunks.push((offset.saturating_sub(next(2000)), end));
+            }
+            offset = end;
+        }
+
+        let mut in_order = UcobsReceiver::new();
+        let mut got = Vec::new();
+        for &(start, end) in &chunks {
+            got.extend(in_order.on_chunk(start as u64, &stream[start..end], true));
+        }
+        prop_assert!(got.iter().all(|d| !d.out_of_order));
+        let got: Vec<Vec<u8>> = got.into_iter().map(|d| d.payload).collect();
+        prop_assert_eq!(&got, &payloads);
+        prop_assert!(in_order.buffered_bytes() <= 1);
+
+        // Shuffle, and duplicate some chunks at random later positions.
+        let mut order = chunks.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, next(i + 1));
+        }
+        for _ in 0..next(order.len() + 1) {
+            let dup = order[next(order.len())];
+            let at = next(order.len() + 1);
+            order.insert(at, dup);
+        }
+        let mut shuffled = UcobsReceiver::new();
+        let mut got = Vec::new();
+        for &(start, end) in &order {
+            let in_order = next(2) == 0;
+            got.extend(shuffled.on_chunk(start as u64, &stream[start..end], in_order));
+        }
+        // Each payload as often as it was sent (payloads may repeat).
+        let mut got: Vec<Vec<u8>> = got.into_iter().map(|d| d.payload).collect();
+        let mut want = payloads.clone();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
+        prop_assert!(shuffled.buffered_bytes() <= 1);
+        prop_assert_eq!(shuffled.stats().datagrams_received, lens.len() as u64);
     }
 
     /// TCP segments round-trip through their wire encoding for arbitrary
