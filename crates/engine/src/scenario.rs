@@ -43,6 +43,7 @@ use minion_simnet::LossConfig;
 use minion_simnet::{SimDuration, SimTime};
 use minion_tcp::{CcAlgorithm, ConnEvent};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Nanoseconds of backend time (virtual µs on sim, monotonic µs on os —
@@ -53,6 +54,20 @@ fn ns_of(t: SimTime) -> u64 {
 
 /// The TCP port load-scenario servers listen on.
 pub const LOAD_PORT: u16 = 7000;
+
+/// `PATTERN[k] = 31·k mod 251`, the payload generator of
+/// [`LoadScenario::build_stream`]. Since `31·81 = 2511 = 10·251 + 1`, 81 is
+/// the inverse of 31 mod 251, so `c + 31·j ≡ 31·(81·c + j)` and payload byte
+/// `j` is `PATTERN[(81·c mod 251 + j) mod 251]`.
+const PATTERN: [u8; 251] = {
+    let mut table = [0u8; 251];
+    let mut k = 0;
+    while k < 251 {
+        table[k] = (31 * k % 251) as u8;
+        k += 1;
+    }
+    table
+};
 
 /// Flows per shard of a sharded load run. Fixed (never derived from the
 /// thread count) so the shard decomposition — and therefore the merged
@@ -242,13 +257,25 @@ impl LoadScenario {
     /// 12-byte header (flow, record index, payload length — all `u32` BE)
     /// followed by a position-dependent payload. `flow` is the **global**
     /// flow index ([`LoadScenario::first_flow`] + local index).
+    ///
+    /// Payload byte `j` of record `rec` is `(c + 31·j) mod 251` with
+    /// `c = (flow·197 + rec·131) mod 251`, copied out of [`PATTERN`] a
+    /// table-length run at a time.
     pub fn build_stream(&self, flow: usize, out: &mut Vec<u8>) {
         for rec in 0..self.records_per_flow {
             let len = self.record_payload_len(flow, rec);
             out.extend_from_slice(&(flow as u32).to_be_bytes());
             out.extend_from_slice(&(rec as u32).to_be_bytes());
             out.extend_from_slice(&(len as u32).to_be_bytes());
-            out.extend((0..len).map(|j| ((flow * 197 + rec * 131 + j * 31) % 251) as u8));
+            let c = (flow * 197 + rec * 131) % 251;
+            let mut k = 81 * c % 251;
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(PATTERN.len() - k);
+                out.extend_from_slice(&PATTERN[k..k + n]);
+                left -= n;
+                k = 0;
+            }
         }
     }
 
@@ -447,27 +474,16 @@ impl LoadScenario {
                             kind: TraceKind::FirstByte,
                         });
                     }
-                    state.accept_chunk(chunk.offset, chunk.data);
+                    let (start, end) = (chunk.offset, chunk.offset + chunk.data.len() as u64);
+                    state.accept_chunk(start, chunk.data);
                     obs.gauges
                         .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
                     // Records whose full byte range just became covered are
                     // *delivered*: stamp their delay. uTCP receivers complete
                     // later records while earlier holes persist; ordered TCP
                     // cannot — that asymmetry is the paper's figure of merit.
-                    for rec in 0..state.records.len() {
-                        let (start, end) = {
-                            let r = &state.records[rec];
-                            if r.delivered {
-                                continue;
-                            }
-                            (r.start, r.end)
-                        };
-                        if !state.covered_contains(start, end) {
-                            continue;
-                        }
-                        let r = &mut state.records[rec];
-                        r.delivered = true;
-                        let delay_ns = now_ns.saturating_sub(r.enqueue_ns);
+                    state.deliver_completed(start, end, |rec, enqueue_ns| {
+                        let delay_ns = now_ns.saturating_sub(enqueue_ns);
                         obs.delivery_delay.record(delay_ns);
                         obs.flow_delay
                             .record((self.first_flow + flow) as u32, delay_ns);
@@ -478,7 +494,7 @@ impl LoadScenario {
                             seq: rec as u32,
                             kind: TraceKind::RecordDelivered,
                         });
-                    }
+                    });
                     if state.completion_us.is_none() && state.is_complete() {
                         state.completion_us = Some(now_us);
                         completed += 1;
@@ -835,7 +851,6 @@ struct RecordTrack {
     start: u64,
     end: u64,
     enqueue_ns: u64,
-    enqueued: bool,
     delivered: bool,
 }
 
@@ -853,8 +868,11 @@ struct FlowState {
     covered: Vec<(u64, u64)>,
     ooo_chunks: u64,
     completion_us: Option<u64>,
-    /// Per-record delivery-delay tracking (obs).
+    /// Per-record delivery-delay tracking (obs), in stream order.
     records: Vec<RecordTrack>,
+    /// Records `[..next_unenqueued]` are stamped as enqueued: the send
+    /// cursor only advances, so the enqueued records are always a prefix.
+    next_unenqueued: usize,
     first_chunk_seen: bool,
     /// Per-flow sequence numbers of traced RTO / retransmit edges.
     rto_seq: u32,
@@ -878,10 +896,10 @@ impl FlowState {
                     start,
                     end,
                     enqueue_ns: 0,
-                    enqueued: false,
                     delivered: false,
                 })
                 .collect(),
+            next_unenqueued: 0,
             first_chunk_seen: false,
             rto_seq: 0,
             rtx_seq: 0,
@@ -896,26 +914,52 @@ impl FlowState {
     /// delay measures the transport's *delivery* path, so the clock starts
     /// no earlier than the moment data could first move.
     fn rebase_enqueue(&mut self, established_ns: u64) {
-        for r in &mut self.records {
-            if r.enqueued && r.enqueue_ns < established_ns {
-                r.enqueue_ns = established_ns;
-            }
+        for r in &mut self.records[..self.next_unenqueued] {
+            r.enqueue_ns = r.enqueue_ns.max(established_ns);
         }
     }
 
     /// Stamp every record whose last byte the transport has now accepted
-    /// (`cursor` is the flow's send cursor); returns how many records this
-    /// call enqueued.
+    /// (`cursor` is the flow's send cursor, which never moves back);
+    /// returns how many records this call enqueued.
     fn mark_enqueued(&mut self, cursor: u64, now_ns: u64) -> u64 {
-        let mut newly = 0u64;
-        for r in &mut self.records {
-            if !r.enqueued && r.end <= cursor {
-                r.enqueued = true;
-                r.enqueue_ns = now_ns;
-                newly += 1;
-            }
+        let unstamped = &mut self.records[self.next_unenqueued..];
+        let newly = unstamped.partition_point(|r| r.end <= cursor);
+        for r in &mut unstamped[..newly] {
+            r.enqueue_ns = now_ns;
         }
-        newly
+        self.next_unenqueued += newly;
+        newly as u64
+    }
+
+    /// Indices of the records that the stream range `[start, end)`
+    /// overlaps: those with `record.end > start` and `record.start < end`.
+    /// An empty range overlaps none.
+    fn overlapped(&self, start: u64, end: u64) -> Range<usize> {
+        if start >= end {
+            return 0..0;
+        }
+        let first = self.records.partition_point(|r| r.end <= start);
+        let last = self.records.partition_point(|r| r.start < end);
+        first..last
+    }
+
+    /// Mark delivered each record that the chunk `[start, end)` just
+    /// completed, passing its index and enqueue stamp to `deliver` in
+    /// ascending record order. Called after every chunk, so every record
+    /// covered before this one is already delivered, and a record (never
+    /// empty: each has a 12-byte header) can only become covered by a
+    /// chunk that overlaps it. Only those records are tested.
+    fn deliver_completed(&mut self, start: u64, end: u64, mut deliver: impl FnMut(usize, u64)) {
+        for rec in self.overlapped(start, end) {
+            let r = &self.records[rec];
+            if r.delivered || !self.covered_contains(r.start, r.end) {
+                continue;
+            }
+            let enqueue_ns = r.enqueue_ns;
+            self.records[rec].delivered = true;
+            deliver(rec, enqueue_ns);
+        }
     }
 
     /// Whether `[start, end)` is fully covered by received bytes.
@@ -957,6 +1001,157 @@ impl FlowState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The per-byte generator `build_stream` replaced, kept as its oracle.
+    fn build_stream_per_byte(sc: &LoadScenario, flow: usize, out: &mut Vec<u8>) {
+        for rec in 0..sc.records_per_flow {
+            let len = sc.record_payload_len(flow, rec);
+            out.extend_from_slice(&(flow as u32).to_be_bytes());
+            out.extend_from_slice(&(rec as u32).to_be_bytes());
+            out.extend_from_slice(&(len as u32).to_be_bytes());
+            out.extend((0..len).map(|j| ((flow * 197 + rec * 131 + j * 31) % 251) as u8));
+        }
+    }
+
+    #[test]
+    fn build_stream_matches_per_byte_oracle() {
+        let record_lens = [0, 1, 2, 3].into_iter().chain(150..=170).chain([600, 1000]);
+        for record_len in record_lens {
+            let sc = LoadScenario {
+                records_per_flow: 130,
+                record_len,
+                ..LoadScenario::default()
+            };
+            for flow in [0, 1, 127, 128, 511, 16383, 1 << 20] {
+                // Both append to whatever the buffer already holds.
+                let mut got = vec![0xaa];
+                let mut want = vec![0xaa];
+                sc.build_stream(flow, &mut got);
+                build_stream_per_byte(&sc, flow, &mut want);
+                assert_eq!(got, want, "record_len {record_len}, flow {flow}");
+            }
+        }
+    }
+
+    /// The per-chunk matching `deliver_completed` replaced, kept as its
+    /// oracle: after every chunk, test every record of the flow.
+    fn deliver_full_scan(state: &mut FlowState) -> Vec<(usize, u64)> {
+        let mut delivered = Vec::new();
+        for rec in 0..state.records.len() {
+            let r = &state.records[rec];
+            if r.delivered || !state.covered_contains(r.start, r.end) {
+                continue;
+            }
+            delivered.push((rec, r.enqueue_ns));
+            state.records[rec].delivered = true;
+        }
+        delivered
+    }
+
+    /// Stream byte ranges `[start, end)`.
+    type Spans = Vec<(u64, u64)>;
+
+    /// Random non-empty records and a chunk schedule over their stream: a
+    /// covering cut of the stream plus overlapping re-sends, duplicates
+    /// and empty chunks, shuffled.
+    fn records_and_chunks(seed: u64) -> (Spans, Spans) {
+        let mut rng = TestRng::new(seed);
+        let mut below = |n: u64| rng.next_u64() % n;
+        let mut bounds = Vec::new();
+        let mut pos = 0;
+        for _ in 0..1 + below(24) {
+            let end = pos + 1 + below(40);
+            bounds.push((pos, end));
+            pos = end;
+        }
+        let len = pos;
+        let mut chunks = Vec::new();
+        let mut cut = 0;
+        while cut < len {
+            let end = (cut + 1 + below(60)).min(len);
+            chunks.push((cut, end));
+            cut = end;
+        }
+        for _ in 0..below(12) {
+            let start = below(len + 1);
+            let end = (start + below(80)).min(len);
+            chunks.push((start, end));
+        }
+        for _ in 0..below(6) {
+            let dup = chunks[below(chunks.len() as u64) as usize];
+            chunks.push(dup);
+        }
+        for i in (1..chunks.len()).rev() {
+            chunks.swap(i, below(i as u64 + 1) as usize);
+        }
+        (bounds, chunks)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Chunk by chunk, overlap-only matching delivers the records the
+        /// full scan delivers, in the same order with the same stamps, and
+        /// examines only the records the chunk overlaps.
+        #[test]
+        fn record_matching_equals_full_scan(seed in any::<u64>()) {
+            let (bounds, chunks) = records_and_chunks(seed);
+            let len = bounds.last().expect("at least one record").1;
+            // Distinct stamps per record, so a wrong index shows.
+            let stamped = || {
+                let mut s = FlowState::new(FlowId(0), len, bounds.clone());
+                for (rec, &(_, end)) in bounds.iter().enumerate() {
+                    s.mark_enqueued(end, 10 * rec as u64);
+                }
+                s
+            };
+            let (mut state, mut oracle) = (stamped(), stamped());
+            for (start, end) in chunks {
+                let overlapping: Vec<usize> = (0..bounds.len())
+                    .filter(|&rec| start < end && bounds[rec].1 > start && bounds[rec].0 < end)
+                    .collect();
+                prop_assert_eq!(
+                    state.overlapped(start, end).collect::<Vec<_>>(),
+                    overlapping
+                );
+                let data = Bytes::from(vec![0u8; (end - start) as usize]);
+                state.accept_chunk(start, data.clone());
+                oracle.accept_chunk(start, data);
+                let mut delivered = Vec::new();
+                state.deliver_completed(start, end, |rec, ns| delivered.push((rec, ns)));
+                prop_assert_eq!(delivered, deliver_full_scan(&mut oracle));
+            }
+            prop_assert!(state.is_complete());
+            prop_assert!(state.records.iter().all(|r| r.delivered));
+        }
+    }
+
+    #[test]
+    fn enqueue_cursor_stamps_each_record_once_on_partial_writes() {
+        let mut s = FlowState::new(FlowId(0), 30, vec![(0, 10), (10, 25), (25, 30)]);
+        let stamps = |s: &FlowState| s.records.iter().map(|r| r.enqueue_ns).collect::<Vec<_>>();
+        assert_eq!(s.mark_enqueued(0, 1), 0, "zero-byte write");
+        assert_eq!(s.mark_enqueued(4, 2), 0, "cursor mid-record");
+        assert_eq!(s.mark_enqueued(10, 3), 1, "cursor exactly on a record end");
+        assert_eq!(s.next_unenqueued, 1);
+        assert_eq!(s.mark_enqueued(10, 4), 0, "zero-byte write on a record end");
+        assert_eq!(s.mark_enqueued(24, 5), 0, "one byte short of a record end");
+        assert_eq!(stamps(&s), [3, 0, 0]);
+        // Rebasing touches only the stamped prefix and never moves a stamp
+        // back.
+        s.rebase_enqueue(7);
+        assert_eq!(stamps(&s), [7, 0, 0]);
+        assert_eq!(s.mark_enqueued(30, 8), 2, "one write completes two records");
+        assert_eq!(s.next_unenqueued, 3);
+        s.rebase_enqueue(7);
+        assert_eq!(stamps(&s), [7, 8, 8]);
+        s.rebase_enqueue(9);
+        assert_eq!(stamps(&s), [9, 9, 9]);
+        assert_eq!(s.mark_enqueued(30, 10), 0, "nothing left to stamp");
+        assert_eq!(stamps(&s), [9, 9, 9]);
+    }
 
     #[test]
     fn coverage_merging_detects_completion() {

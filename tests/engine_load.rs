@@ -3,7 +3,7 @@
 //! order asserted per flow and every cell run twice under its fixed seed to
 //! prove byte-identical metrics.
 
-use minion_repro::engine::{verify_load, LoadScenario};
+use minion_repro::engine::{fnv1a, verify_load, LoadReport, LoadScenario, FNV_OFFSET_BASIS};
 use minion_repro::testkit::{run_matrix, summarize, MatrixSpec};
 
 /// The 1024-flow acceptance scenario: deterministic (same seed ⇒ identical
@@ -88,4 +88,80 @@ fn loss_under_load_is_recovered_per_flow() {
         with_retx < 64,
         "2% loss should not hit every single flow's data"
     );
+}
+
+/// FNV-1a over the `Debug` rendering of every deterministic `LoadReport`
+/// field. `phases` is left out: it times real CPU work. The destructuring
+/// names every field, so a new one fails to compile here until it is
+/// either hashed or excluded on purpose.
+fn report_digest(report: &LoadReport) -> u64 {
+    let LoadReport {
+        label,
+        seed,
+        flows,
+        records_sent,
+        records_delivered,
+        total_bytes,
+        completion_us,
+        goodput_bps,
+        events_per_sim_sec,
+        allocs_per_flow_milli,
+        engine,
+        pool,
+        obs,
+        phases: _,
+        per_flow,
+    } = report;
+    let fields: [&dyn std::fmt::Debug; 14] = [
+        label,
+        seed,
+        flows,
+        records_sent,
+        records_delivered,
+        total_bytes,
+        completion_us,
+        goodput_bps,
+        events_per_sim_sec,
+        allocs_per_flow_milli,
+        engine,
+        pool,
+        obs,
+        per_flow,
+    ];
+    let mut h = FNV_OFFSET_BASIS;
+    for field in fields {
+        fnv1a(&mut h, format!("{field:?}\n").as_bytes());
+    }
+    h
+}
+
+/// Golden digests of three load reports, captured before the driver's
+/// stream synthesis and record matching were rewritten. The reports cover
+/// the delivery-delay histograms, the per-flow digests, the trace ring and
+/// the per-flow fingerprints, so any change to what the driver measures or
+/// in which order it records it moves a digest.
+#[test]
+fn load_reports_match_golden_digests() {
+    let cases = [
+        (
+            "obs_comparison(utcp), 2 shards",
+            LoadScenario::obs_comparison(true).run_sharded(2),
+            0x9cf4_ae57_2f55_ccc9,
+        ),
+        (
+            "obs_comparison(tcp), 2 shards",
+            LoadScenario::obs_comparison(false).run_sharded(2),
+            0x6299_f730_18f2_2707,
+        ),
+        (
+            "256 lossless flows, unsharded",
+            LoadScenario::with_flows(256).run(),
+            0xdc42_4cf5_ff3f_43c5,
+        ),
+    ];
+    for (name, report, golden) in &cases {
+        let digest = report_digest(report);
+        eprintln!("{name}: {digest:#018x}");
+        assert_eq!(digest, *golden, "{name}: report digest moved");
+    }
 }
